@@ -17,8 +17,8 @@ from .data import (DataError, Example, Interpretation, Sample, TypeTable,
                    compute_types, dualize_interpretation, dualize_sample,
                    interpretation_signature, load_facts, load_sample,
                    merge_blocks, save_facts, save_sample)
-from .encoder import (Cnf, EncodingError, VarMap, count_topologies,
-                      decode_model, encode_coverage_at_least, encode_fitting,
+from .encoder import (Cnf, EncodingError, VarMap, decode_model,
+                      encode_coverage_at_least, encode_fitting,
                       encode_semantics_base, encode_semantics_typed,
                       encode_syntax, encode_templates, pattern_bans_active)
 from .fitter import (APPROXIMATE, FITTED, NO_FIT_WITHIN_BOUND, TIMED_OUT,

@@ -64,8 +64,8 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-typed", action="store_true",
                    help="disable the type-table semantic encoding")
     p.add_argument("--no-templates", action="store_true",
-                   help="disable syntax-tree template selectors")
-    p.add_argument("--template-threshold", type=int, default=10, metavar="K")
+                   help="disable level-order symmetry breaking and "
+                   "pattern bans")
     p.add_argument("--backend", default="native",
                    help='"native" or "dimacs:<command>"')
 
@@ -76,7 +76,6 @@ def _config(args) -> FitConfig:
     return FitConfig(ops=args.ops, k_max=args.max_size,
                      budget=args.timeout, typed=not args.no_typed,
                      templates=not args.no_templates,
-                     template_threshold=args.template_threshold,
                      seed=args.seed, mode=mode, backend=args.backend)
 
 
@@ -244,7 +243,7 @@ def cmd_encode(args) -> int:
         types = compute_types(sample.interp)
         cnf.absorb(encode_semantics_typed(k, sample.interp, vm, types))
     if not args.no_templates:
-        cnf.absorb(encode_templates(k, vm, threshold=args.template_threshold))
+        cnf.absorb(encode_templates(k, vm))
     cnf.absorb(encode_fitting(sample, vm))
     text = export_dimacs(cnf, vm)
     if args.emit_dimacs:

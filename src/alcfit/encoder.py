@@ -9,17 +9,23 @@ Propositional variables, with node indices i, j ranging over 1..k:
     xt[i,t]   typed mode: node i's label, read as a name, belongs to type t
     l[i]      typed mode: node i is labeled by some concept name
     s[q,m]    cardinality: at least m of the first q example literals hold
-    sel[t]    templates: the tree has canonical topology t
 
 Node 1 is the root, children strictly follow their parent, and a binary
 node's children sit at consecutive indices, so every syntax tree admits a
-level-order numbering that the encoding accepts.  The label alphabet is
-{top, bot} + concept names + the operator labels permitted by the operator
-set (quantifier and role fused into one label, matching the size measure).
+level-order numbering that the encoding accepts.  The "template" clauses
+also require parent(j) <= parent(j+1) for 2 <= j < k, the numbering
+constraints of Narodytska et al. (IJCAI 2018).  Parents then come in
+non-decreasing order: the children of node 1 take the indices right after
+it, then those of node 2, and so on, which is level order.  Level order is
+fixed by the tree shape, so each shape keeps exactly one numbering.
+
+The label alphabet is {top, bot} + concept names + the operator labels
+permitted by the operator set (quantifier and role fused into one label,
+matching the size measure).
 
 Clause groups: "syntax", "semantics" (with subgroups "semantics.names" for
 name-label semantics and "semantics.namehood" for the l[i] definitions),
-"fitting", "cardinality", "template".
+"fitting", "cardinality", "template" (symmetry breaking and pattern bans).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ __all__ = [
     "EncodingError", "Cnf", "VarMap",
     "encode_syntax", "encode_semantics_base", "encode_semantics_typed",
     "encode_fitting", "encode_coverage_at_least", "encode_templates",
-    "decode_model", "pattern_bans_active", "count_topologies",
+    "decode_model", "pattern_bans_active",
 ]
 
 Label = tuple  # ("top",) ("bot",) ("name", A) ("not",) ("and",) ("or",)
@@ -151,8 +157,6 @@ class VarMap:
         self._ell: list[int] = []
         self._types: TypeTable | None = None
         self._coverage: _CoverageState | None = None
-        self._selectors: list[int] = []
-        self._topologies: list[tuple[int, ...]] = []
 
     def _alloc(self, tag: tuple) -> int:
         var = self._next
@@ -231,6 +235,17 @@ class VarMap:
 # ---------------------------------------------------------------------------
 # syntax
 
+def _parent_literals(vm: VarMap, i: int, j: int) -> list[int]:
+    """Literals that each say "node i is the parent of node j" (i < j)."""
+    k = vm.k
+    lits = [vm.y1(i, j)]
+    if j < k:
+        lits.append(vm.y2(i, j))     # j is the left child of binary i
+    if j - 1 > i:
+        lits.append(vm.y2(i, j - 1))  # j is the right child of binary i
+    return lits
+
+
 def encode_syntax(k: int, ops: OperatorSet, sigma: Signature,
                   ) -> tuple[Cnf, VarMap]:
     """Well-formed exact-size-k syntax trees over the fragment's alphabet."""
@@ -272,11 +287,8 @@ def encode_syntax(k: int, ops: OperatorSet, sigma: Signature,
 
     # every node but the root has exactly one incoming edge slot
     for j in range(2, k + 1):
-        parents = [vm._y1[(i, j)] for i in range(1, j)]
-        if j < k:
-            parents += [vm._y2[(i, j)] for i in range(1, j)]
-        if j > 2:
-            parents += [vm._y2[(i, j - 1)] for i in range(1, j - 1)]
+        parents = [lit for i in range(1, j)
+                   for lit in _parent_literals(vm, i, j)]
         add(SYN, parents)
         for p in range(len(parents)):
             for q in range(p + 1, len(parents)):
@@ -504,85 +516,31 @@ def pattern_bans_active(ops: OperatorSet, sigma: Signature) -> bool:
     return ops == O_ALL and bool(sigma.role_names)
 
 
-def _arity_menu(ops: OperatorSet, sigma: Signature) -> tuple[int, ...]:
-    menu = [0]
-    if "neg" in ops or (sigma.role_names and ops & {"exists", "forall"}):
-        menu.append(1)
-    if ops & {"and", "or"}:
-        menu.append(2)
-    return tuple(menu)
+def encode_templates(k: int, vm: VarMap, bans: bool | None = None) -> Cnf:
+    """Level-order symmetry breaking plus pattern bans.
 
-def _sequences(length: int, k: int, menu: tuple[int, ...], exact: bool,
-               ) -> list[tuple[int, ...]]:
-    """Level-order arity sequences (a_1..a_length) of k-node trees.
-
-    Writing s_i = 1 + a_1 + ... + a_i for the number of nodes allocated
-    after assigning children to nodes 1..i, a sequence is consistent iff
-    s_i >= i+1 for i < k (node i+1 must exist before its turn) and s_i <= k.
-    With exact=True additionally s_length = k: the sequence describes the
-    whole tree.  Otherwise it describes the first `length` nodes of some
-    larger tree.
+    Symmetry breaking asks parent(j) <= parent(j+1) for 2 <= j < k, as
+    binary clauses "not (parent(j) = i and parent(j+1) = i')" for every
+    i' < i < j.  Together with children following their parent and binary
+    children sitting side by side, this admits exactly the level-order
+    numbering of each tree shape, at every k and for every operator set:
+    O(k^3) clauses over the y variables, no new variables.  Pattern bans
+    forbid locally rewritable syntax where that is satisfiability-safe
+    (see pattern_bans_active); bans=None applies that policy.
     """
-    out: list[tuple[int, ...]] = []
-    seq: list[int] = []
-    grow = max(menu)
-
-    def rec(i: int, s: int) -> None:
-        if i > length:
-            if not exact or s == k:
-                out.append(tuple(seq))
-            return
-        for a in menu:
-            s2 = s + a
-            if s2 > k:
-                continue
-            if i < k and s2 < i + 1:
-                continue
-            if exact and s2 + grow * (length - i) < k:
-                continue
-            seq.append(a)
-            rec(i + 1, s2)
-            seq.pop()
-
-    rec(1, 1)
-    return out
-
-
-def count_topologies(k: int, menu: tuple[int, ...] = (0, 1, 2)) -> int:
-    return len(_sequences(k, k, menu, exact=True))
-
-
-def encode_templates(k: int, vm: VarMap, threshold: int = 10,
-                     max_selectors: int = 5000,
-                     bans: bool | None = None) -> Cnf:
-    """Restrict trees to canonical level-order numberings, one selector per
-    topology (or per topology prefix when k exceeds the threshold), and ban
-    locally rewritable syntax patterns where that is satisfiability-safe."""
-    if threshold < 1:
-        raise ValueError("threshold must be at least 1")
+    if vm.k != k:
+        raise EncodingError("variable map built for a different size bound")
     cnf = Cnf()
     add = cnf.add
     TMP = "template"
-    menu = _arity_menu(vm.ops, vm.sigma)
 
-    exact = k <= threshold
-    length = k if exact else threshold
-    seqs = _sequences(length, k, menu, exact=exact)
-    # zero topologies means the arity menu cannot build k nodes at all; the
-    # syntax clauses are already unsatisfiable then, so add nothing
-    if seqs and len(seqs) <= max_selectors:
-        vm._topologies = seqs
-        selectors = [vm._alloc(("sel", t)) for t in range(len(seqs))]
-        vm._selectors = selectors
-        for sel, seq in zip(selectors, seqs):
-            allocated = 1
-            for i, a in enumerate(seq, start=1):
-                if a == 1:
-                    add(TMP, (-sel, vm.y1(i, allocated + 1)))
-                elif a == 2:
-                    add(TMP, (-sel, vm.y2(i, allocated + 1)))
-                allocated += a
-        add(TMP, selectors)
+    for j in range(2, k):
+        later = [_parent_literals(vm, i, j + 1) for i in range(1, j)]
+        for i in range(2, j):
+            for a in _parent_literals(vm, i, j):
+                for lits in later[:i - 1]:  # parents i' < i of node j+1
+                    for b in lits:
+                        add(TMP, (-a, -b))
 
     if bans is None:
         bans = pattern_bans_active(vm.ops, vm.sigma)

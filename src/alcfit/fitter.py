@@ -47,7 +47,6 @@ class FitConfig:
     budget: float | None = None       # wall-clock seconds for the whole run
     typed: bool = True
     templates: bool = True
-    template_threshold: int = 10
     seed: int = 0
     mode: str = "exact"               # exact | approximate
     backend: str = "native"
@@ -56,8 +55,6 @@ class FitConfig:
     def __post_init__(self) -> None:
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
-        if self.template_threshold < 1:
-            raise ValueError("template threshold must be at least 1")
         if self.mode not in ("exact", "approximate"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.k_horizon < 1:
@@ -146,7 +143,7 @@ class _Run:
             sem = encode_semantics_base(k, interp, vm)
         parts = [syn, sem]
         if cfg.templates:
-            parts.append(encode_templates(k, vm, cfg.template_threshold))
+            parts.append(encode_templates(k, vm))
         return vm, parts
 
     def session(self):

@@ -188,6 +188,8 @@ class NativeSession(SolverSession):
         ptr = ctypes.cast(addr, ctypes.POINTER(ctypes.c_int32))
         added = self._lib.satbridge_add_clauses(self._ptr, ptr, count)
         self.num_clauses += added
+        # a hand-built Cnf may mention variables it never declared
+        self.declare_vars(self._lib.satbridge_max_variable(self._ptr))
 
     def solve(self, assumptions=(), conflict_budget: int | None = None,
               timeout: float | None = None) -> SolveOutcome:
@@ -307,9 +309,11 @@ class DimacsSession(SolverSession):
     def add_cnf(self, cnf: Cnf) -> None:
         if not cnf.store:
             raise SolverError("cannot solve a counted-only clause set")
-        if cnf.num_vars > self.num_vars:
-            self.num_vars = cnf.num_vars
-        self._lits.extend(cnf.lits)
+        # a hand-built Cnf may mention variables it never declared
+        lits = cnf.lits
+        self.declare_vars(max(cnf.num_vars, max(lits, default=0),
+                              -min(lits, default=0)))
+        self._lits.extend(lits)
         self.num_clauses += cnf.num_clauses
 
     def solve(self, assumptions=(), conflict_budget: int | None = None,

@@ -36,8 +36,7 @@ def contradictory() -> Sample:
 
 def build_encoding(sample: Sample, k: int, ops: OperatorSet, *,
                    typed: bool = True, templates: bool = True,
-                   bans: bool | None = None,
-                   threshold: int = 10) -> tuple[Cnf, VarMap]:
+                   bans: bool | None = None) -> tuple[Cnf, VarMap]:
     sigma = interpretation_signature(sample.interp)
     cnf, vm = encode_syntax(k, ops, sigma)
     vm.bind(sample.interp)
@@ -47,7 +46,7 @@ def build_encoding(sample: Sample, k: int, ops: OperatorSet, *,
     else:
         cnf.absorb(encode_semantics_base(k, sample.interp, vm))
     if templates:
-        cnf.absorb(encode_templates(k, vm, threshold=threshold, bans=bans))
+        cnf.absorb(encode_templates(k, vm, bans=bans))
     cnf.absorb(encode_fitting(sample, vm))
     return cnf, vm
 

@@ -7,11 +7,11 @@ import pytest
 from alcfit.concepts import (And, Exists, Forall, Not, O_ALL, Or, Signature,
                              fits, in_fragment, size)
 from alcfit.data import compute_types, interpretation_signature
-from alcfit.encoder import (EncodingError, VarMap, count_topologies,
-                            decode_model, encode_coverage_at_least,
-                            encode_fitting, encode_semantics_base,
-                            encode_semantics_typed, encode_syntax,
-                            encode_templates, pattern_bans_active, _sequences)
+from alcfit.encoder import (EncodingError, VarMap, decode_model,
+                            encode_coverage_at_least, encode_fitting,
+                            encode_semantics_base, encode_semantics_typed,
+                            encode_syntax, encode_templates,
+                            pattern_bans_active)
 from alcfit.oracle import enumerate_concepts
 from alcfit.solver import make_session
 
@@ -182,12 +182,42 @@ def test_coverage_target_validation(fig1_sample):
         encode_coverage_at_least(fig1_sample, 4, vm)
 
 
-# -- syntax-tree templates
+# -- level-order symmetry breaking
+
+ROLE_SIGMA = Signature(frozenset({"A"}), frozenset({"r"}))
+
+
+def _model_shapes(k, ops, sigma=ROLE_SIGMA) -> list[tuple[int, ...]]:
+    """Arity sequences (node 1..k) of every model of the syntax and
+    symmetry-breaking clauses, projected onto the y variables: each model
+    found is blocked on its y values and the solver asked again."""
+    cnf, vm = encode_syntax(k, ops, sigma)
+    cnf.absorb(encode_templates(k, vm, bans=False))
+    ys = list(vm._y1.values()) + list(vm._y2.values())
+    shapes = []
+    session = make_session()
+    try:
+        session.add_cnf(cnf)
+        while (out := session.solve()).status == "sat":
+            arity = [0] * k
+            for n, yvars in ((1, vm._y1), (2, vm._y2)):
+                for (i, _), v in yvars.items():
+                    if out.model[v]:
+                        arity[i - 1] = n
+            shapes.append(tuple(arity))
+            if not ys:
+                break
+            session.add_clause([-v if out.model[v] else v for v in ys])
+        assert out.status in ("sat", "unsat")
+    finally:
+        session.close()
+    return shapes
+
 
 def test_topology_counts_are_motzkin_numbers():
-    assert count_topologies(3) == 2
-    assert count_topologies(7) == 51
-    assert count_topologies(10) == 835
+    # one numbering per unary-binary tree shape, nothing more
+    counts = [len(_model_shapes(k, O_ALL)) for k in range(1, 9)]
+    assert counts == [1, 1, 2, 4, 9, 21, 51, 127]
 
 
 def _bfs_arities(concept):
@@ -209,13 +239,23 @@ def _bfs_arities(concept):
     return tuple(out)
 
 
-def test_sequences_match_real_concept_shapes():
-    sigma = Signature(frozenset({"A"}), frozenset({"r"}))
-    k = 5
-    expected = set(_sequences(k, k, (0, 1, 2), exact=True))
-    shapes = {_bfs_arities(c) for c in enumerate_concepts(O_ALL, sigma, k)}
-    assert shapes == expected
-    assert len(expected) == count_topologies(k)
+def test_model_shapes_match_real_concept_shapes():
+    for k in range(1, 6):
+        shapes = _model_shapes(k, O_ALL)
+        assert len(shapes) == len(set(shapes)), k
+        expected = {_bfs_arities(c)
+                    for c in enumerate_concepts(O_ALL, ROLE_SIGMA, k)}
+        assert set(shapes) == expected, k
+
+
+def test_shape_counts_follow_the_operator_set():
+    # the same clauses serve every fragment: binary-only trees are counted
+    # by the Catalan numbers, negation-only trees are single chains
+    binary = [len(_model_shapes(k, frozenset({"and", "or"})))
+              for k in range(1, 12)]
+    assert binary == [1, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42]
+    chains = [len(_model_shapes(k, frozenset({"neg"}))) for k in range(1, 12)]
+    assert chains == [1] * 11
 
 
 def test_templates_preserve_satisfiability(fig1_sample):
@@ -229,24 +269,30 @@ def test_templates_preserve_satisfiability(fig1_sample):
     assert status == "sat" and fits(concept, fig1_sample)
 
 
-def test_prefix_mode_above_threshold(fig1_sample):
-    cnf, vm = build_encoding(fig1_sample, 11, O_ALL)
-    assert len(vm._selectors) == 2188  # prefix sequences of length 10
-    status, concept = solve_encoding(cnf, vm)
-    assert status == "sat"
-    assert size(concept) == 11
+def test_large_k_solves_and_decodes(fig1_sample):
+    for k in (11, 12):
+        status, concept = solve_encoding(*build_encoding(fig1_sample, k,
+                                                         O_ALL))
+        assert status == "sat", k
+        assert size(concept) == k
+        assert fits(concept, fig1_sample)
 
 
-def test_selector_cap_skips_templates_but_keeps_bans(fig1_sample):
+def test_symmetry_breaking_stays_on_at_large_k(fig1_sample):
     sigma = interpretation_signature(fig1_sample.interp)
-    k = 12
-    cnf, vm = encode_syntax(k, O_ALL, sigma)
-    vm.bind(fig1_sample.interp)
-    tpl = encode_templates(k, vm, threshold=10)
-    assert vm._selectors == []
-    y2 = (k - 1) * (k - 2) // 2
-    y1 = k * (k - 1) // 2
-    assert tpl.group_total("template") == 6 * y2 + y1
+    for k in (12, 15):
+        cnf, vm = encode_syntax(k, O_ALL, sigma)
+        tpl = encode_templates(k, vm)
+        y2 = (k - 1) * (k - 2) // 2
+        y1 = k * (k - 1) // 2
+        assert tpl.group_total("template") > 6 * y2 + y1, k
+        # the symmetry-breaking part ignores the fragment and the signature
+        counts = set()
+        for ops, sig in ((O_ALL, sigma), (frozenset({"neg"}), sigma),
+                         (EL, ROLE_SIGMA)):
+            _, other = encode_syntax(k, ops, sig)
+            counts.add(encode_templates(k, other, bans=False).num_clauses)
+        assert len(counts) == 1, k
 
 
 def test_pattern_ban_policy():

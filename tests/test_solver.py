@@ -183,6 +183,26 @@ def test_native_agrees_with_brute_force(clauses, assumptions):
         session.close()
 
 
+@pytest.mark.parametrize("backend", ["native", f"dimacs:{DIMACS_SOLVER}"],
+                         ids=["native", "dimacs"])
+def test_add_cnf_counts_undeclared_variables(backend):
+    # a hand-built Cnf that never calls declare_vars still gets a model
+    # covering every variable its clauses mention
+    cnf = Cnf()
+    cnf.add("t", [1, 2])
+    cnf.add("t", [-1, 3])
+    session = make_session(SolverConfig(backend=backend))
+    try:
+        session.add_cnf(cnf)
+        assert session.num_vars == 3
+        out = session.solve(assumptions=[1])
+        assert out.status == "sat"
+        assert len(out.model) == 4
+        assert out.model[1] and out.model[3]
+    finally:
+        session.close()
+
+
 def test_declare_vars_reserves_ids():
     session = NativeSession()
     try:
