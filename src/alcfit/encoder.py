@@ -26,12 +26,25 @@ matching the size measure).
 Clause groups: "syntax", "semantics" (with subgroups "semantics.names" for
 name-label semantics and "semantics.namehood" for the l[i] definitions),
 "fitting", "cardinality", "template" (symmetry breaking and pattern bans).
+
+The semantics clauses come in blocks, one per (node, label, child): the
+same few clauses repeated for every domain element.  Each block is built
+over the whole domain as one literal array and appended with
+Cnf.add_block.  Blocks whose clauses have a fixed shape per element (top,
+bot, names, negation, and, or, and the typed type rows) repeat a one-element
+pattern n times and fill the element-dependent positions by strided slice
+assignment from prebuilt z / xt rows (_add_rows).  Quantifier blocks depend
+on the role's successor lists; their layout is an index template, built
+once per label, that gathers the literals from [0, -x, -y] + z_i + (-z_i)
++ z_j + (-z_j) (_quantifier_template).  Counting-only encodings compute
+each block's clause count and build no block.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from operator import mul, neg
 
 from .concepts import (And, Bot, Concept, Exists, Forall, Name, Not, Or,
                        O_ALL, OperatorSet, Signature, Top)
@@ -60,6 +73,11 @@ class Cnf:
     counts.  With store=False only the counts are kept (for clause
     arithmetic on encodings too large to hold).
 
+    Clauses arrive one at a time (add) or as a block of whole clauses in
+    one 0-terminated literal array (add_block), which is how the semantics
+    encoding appends its per-domain blocks; either way the counts and group
+    tags are kept here.
+
     num_vars is declared by the encoding functions, not inferred per
     literal; hand-built instances should call declare_vars.
     """
@@ -82,6 +100,17 @@ class Cnf:
         self.num_clauses += 1
         self.groups[tag] = self.groups.get(tag, 0) + 1
 
+    def add_block(self, tag: str, count: int, lits: array | None = None,
+                  ) -> None:
+        """Append `count` clauses given as one 0-terminated literal array;
+        `lits` may be omitted when only counts are kept."""
+        if not count:
+            return
+        if self.store:
+            self.lits.extend(lits)
+        self.num_clauses += count
+        self.groups[tag] = self.groups.get(tag, 0) + count
+
     def declare_vars(self, n: int) -> None:
         if n > self.num_vars:
             self.num_vars = n
@@ -89,11 +118,11 @@ class Cnf:
     def clauses(self):
         """Iterate clauses as lists of signed ints."""
         buf = self.lits
-        start = 0
-        for pos, lit in enumerate(buf):
-            if lit == 0:
-                yield list(buf[start:pos])
-                start = pos + 1
+        start, end = 0, len(buf)
+        while start < end:
+            stop = buf.index(0, start)
+            yield buf[start:stop].tolist()
+            start = stop + 1
 
     def group_total(self, prefix: str) -> int:
         dotted = prefix + "."
@@ -301,31 +330,94 @@ def encode_syntax(k: int, ops: OperatorSet, sigma: Signature,
 # ---------------------------------------------------------------------------
 # semantics
 
-def _non_name_semantics(cnf: Cnf, vm: VarMap, interp: Interpretation) -> None:
+def _z_rows(vm: VarMap) -> tuple[list[array], list[array]]:
+    """Each node's z row and its negation as int arrays, node i at i - 1."""
+    z = [array("i", vm.z_row(i)) for i in range(1, vm.k + 1)]
+    return z, [array("i", map(neg, row)) for row in z]
+
+
+def _add_rows(cnf: Cnf, tag: str, n: int, *shapes) -> None:
+    """Append one clause per shape for each element e < n, element by
+    element.  A shape's literals are ints, the same for every element, or
+    rows (int arrays of length n) of which element e takes entry e.
+
+    The block is a one-element pattern repeated n times; each row fills its
+    position by one strided slice assignment.
+    """
+    count = n * len(shapes)
+    if not cnf.store:
+        cnf.add_block(tag, count)
+        return
+    pattern = array("i")
+    rows = []
+    for shape in shapes:
+        for lit in shape:
+            if isinstance(lit, array):
+                rows.append((len(pattern), lit))
+                pattern.append(0)
+            else:
+                pattern.append(lit)
+        pattern.append(0)
+    period = len(pattern)
+    block = pattern * n
+    for offset, row in rows:
+        block[offset::period] = row
+    cnf.add_block(tag, count, block)
+
+
+def _quantifier_template(kind: str, targets: list[tuple[int, ...]],
+                         ) -> list[int]:
+    """Layout of one exists/forall block as indices into the literal list
+    [0, -x, -y] + z_i + (-z_i) + z_j + (-z_j), where x is the label's and y
+    the edge's variable and targets[e] the successors of element e.  Per
+    element e, with b ranging over its successors:
+
+        exists: (-x, -y, -z_i[e], z_j[b]...), then (-x, -y, -z_j[b], z_i[e])
+        forall: (-x, -y, z_i[e], -z_j[b]...), then (-x, -y, -z_i[e], z_j[b])
+    """
+    n = len(targets)
+    zi, nzi, zj, nzj = 3, 3 + n, 3 + 2 * n, 3 + 3 * n
+    idx: list[int] = []
+    for e, succ in enumerate(targets):
+        if kind == "exists":
+            idx += [1, 2, nzi + e, *[zj + b for b in succ], 0]
+            for b in succ:
+                idx += [1, 2, nzj + b, zi + e, 0]
+        else:
+            idx += [1, 2, zi + e, *[nzj + b for b in succ], 0]
+            for b in succ:
+                idx += [1, 2, nzi + e, zj + b, 0]
+    return idx
+
+
+def _non_name_semantics(cnf: Cnf, vm: VarMap, interp: Interpretation,
+                        z: list[array], nz: list[array]) -> None:
     """Semantics clauses for top/bot and all operator labels (shared by the
-    base and typed encodings)."""
-    add = cnf.add
+    base and typed encodings), one block per (node, label, child); z and nz
+    are the rows of _z_rows."""
     SEM = "semantics"
     k = vm.k
     n = len(interp.domain)
     dom = interp.domain
 
-    succ_masks = {}  # (role) -> list of successor index tuples per element
+    succ_rows = {}  # role -> successor index tuple per element
     for lab in vm.labels:
-        if lab[0] in ("exists", "forall") and lab[1] not in succ_masks:
+        if lab[0] in ("exists", "forall") and lab[1] not in succ_rows:
             role = lab[1]
             succs = interp.successors(role)
-            succ_masks[role] = [
+            succ_rows[role] = [
                 tuple(sorted(interp.index[b] for b in succs.get(dom[e], ())))
                 for e in range(n)]
+    # a quantifier block has one clause per element plus one per edge
+    block_size = {role: n + sum(map(len, rows))
+                  for role, rows in succ_rows.items()}
+    templates: dict[Label, list[int]] = {}
 
     for i in range(1, k + 1):
-        zi = vm.z_row(i)
+        zi, nzi = z[i - 1], nz[i - 1]
         xtop = vm.x(i, ("top",))
         xbot = vm.x(i, ("bot",))
-        for e in range(n):
-            add(SEM, (-xtop, zi[e]))
-            add(SEM, (-xbot, -zi[e]))
+        _add_rows(cnf, SEM, n, (-xtop, zi), (-xbot, nzi))
 
         for lab in vm.labels:
             kind = lab[0]
@@ -335,45 +427,36 @@ def _non_name_semantics(cnf: Cnf, vm: VarMap, interp: Interpretation) -> None:
             if kind in ("and", "or"):
                 for j in range(i + 1, k):
                     yv = vm.y2(i, j)
-                    zj, zjj = vm.z_row(j), vm.z_row(j + 1)
+                    zj, zjj = z[j - 1], z[j]
+                    nzj, nzjj = nz[j - 1], nz[j]
                     if kind == "and":
-                        for e in range(n):
-                            add(SEM, (-xv, -yv, -zi[e], zj[e]))
-                            add(SEM, (-xv, -yv, -zi[e], zjj[e]))
-                            add(SEM, (-xv, -yv, zi[e], -zj[e], -zjj[e]))
+                        _add_rows(cnf, SEM, n, (-xv, -yv, nzi, zj),
+                                  (-xv, -yv, nzi, zjj),
+                                  (-xv, -yv, zi, nzj, nzjj))
                     else:
-                        for e in range(n):
-                            add(SEM, (-xv, -yv, zi[e], -zj[e]))
-                            add(SEM, (-xv, -yv, zi[e], -zjj[e]))
-                            add(SEM, (-xv, -yv, -zi[e], zj[e], zjj[e]))
+                        _add_rows(cnf, SEM, n, (-xv, -yv, zi, nzj),
+                                  (-xv, -yv, zi, nzjj),
+                                  (-xv, -yv, nzi, zj, zjj))
                 continue
             for j in range(i + 1, k + 1):
                 yv = vm.y1(i, j)
-                zj = vm.z_row(j)
+                zj, nzj = z[j - 1], nz[j - 1]
                 if kind == "not":
-                    for e in range(n):
-                        add(SEM, (-xv, -yv, -zi[e], -zj[e]))
-                        add(SEM, (-xv, -yv, zi[e], zj[e]))
-                elif kind == "exists":
-                    rows = succ_masks[lab[1]]
-                    for e in range(n):
-                        targets = rows[e]
-                        if not targets:
-                            add(SEM, (-xv, -yv, -zi[e]))
-                            continue
-                        add(SEM, [-xv, -yv, -zi[e]] + [zj[b] for b in targets])
-                        for b in targets:
-                            add(SEM, (-xv, -yv, -zj[b], zi[e]))
-                else:  # forall
-                    rows = succ_masks[lab[1]]
-                    for e in range(n):
-                        targets = rows[e]
-                        if not targets:
-                            add(SEM, (-xv, -yv, zi[e]))
-                            continue
-                        add(SEM, [-xv, -yv, zi[e]] + [-zj[b] for b in targets])
-                        for b in targets:
-                            add(SEM, (-xv, -yv, -zi[e], zj[b]))
+                    _add_rows(cnf, SEM, n, (-xv, -yv, nzi, nzj),
+                              (-xv, -yv, zi, zj))
+                    continue
+                count = block_size[lab[1]]
+                if not cnf.store:
+                    cnf.add_block(SEM, count)
+                    continue
+                idx = templates.get(lab)
+                if idx is None:
+                    idx = templates[lab] = _quantifier_template(
+                        kind, succ_rows[lab[1]])
+                src = [0, -xv, -yv, *zi, *nzi, *zj, *nzj]
+                block = array("i")
+                block.fromlist(list(map(src.__getitem__, idx)))
+                cnf.add_block(SEM, count, block)
 
 
 def encode_semantics_base(k: int, interp: Interpretation, vm: VarMap,
@@ -383,23 +466,23 @@ def encode_semantics_base(k: int, interp: Interpretation, vm: VarMap,
         raise EncodingError("variable map built for a different size bound")
     vm.bind(interp)
     cnf = Cnf(store=not count_only)
-    add = cnf.add
     NAMES = "semantics.names"
     n = len(interp.domain)
+    z, nz = _z_rows(vm)
     name_labels = [lab for lab in vm.labels if lab[0] == "name"]
-    in_ext = {lab: [False] * n for lab in name_labels}
+    sign = {}  # name label -> +1 inside its extension, -1 outside
     for lab in name_labels:
-        row = in_ext[lab]
+        row = sign[lab] = array("i", [-1]) * n
         for a in interp.concept_ext.get(lab[1], ()):
-            row[interp.index[a]] = True
+            row[interp.index[a]] = 1
     for i in range(1, k + 1):
-        zi = vm.z_row(i)
         for lab in name_labels:
-            xv = vm.x(i, lab)
-            row = in_ext[lab]
-            for e in range(n):
-                add(NAMES, (-xv, zi[e]) if row[e] else (-xv, -zi[e]))
-    _non_name_semantics(cnf, vm, interp)
+            # (-x, z) inside the extension, (-x, -z) outside; no block is
+            # built when only counting
+            signed = (array("i", map(mul, z[i - 1], sign[lab]))
+                      if cnf.store else None)
+            _add_rows(cnf, NAMES, n, (-vm.x(i, lab), signed))
+    _non_name_semantics(cnf, vm, interp, z, nz)
     cnf.declare_vars(vm.num_vars)
     return cnf
 
@@ -419,6 +502,7 @@ def encode_semantics_typed(k: int, interp: Interpretation, vm: VarMap,
     NAMES = "semantics.names"
     NAMEHOOD = "semantics.namehood"
     n = len(interp.domain)
+    z, nz = _z_rows(vm)
     name_labels = [lab for lab in vm.labels if lab[0] == "name"]
     type_of = [types.type_of[a] for a in interp.domain]
 
@@ -429,18 +513,17 @@ def encode_semantics_typed(k: int, interp: Interpretation, vm: VarMap,
             for lab in name_labels:
                 xv = vm.x(i, lab)
                 add(NAMES, (-xv, xtv) if lab[1] in members else (-xv, -xtv))
-        zi = vm.z_row(i)
         lv = vm.ell(i)
-        for e in range(n):
-            xtv = xts[type_of[e]]
-            add(NAMES, (-xtv, zi[e]))
-            add(NAMES, (xtv, -zi[e], -lv))
+        # type rows: (-xt[i,type(e)], z[i,e]), (xt[i,type(e)], -z[i,e], -l[i])
+        xt_row = array("i", map(xts.__getitem__, type_of))
+        _add_rows(cnf, NAMES, n, (array("i", map(neg, xt_row)), z[i - 1]),
+                  (xt_row, nz[i - 1], -lv))
         # l[i] <-> node i carries some concept name
         name_vars = [vm.x(i, lab) for lab in name_labels]
         add(NAMEHOOD, [-lv] + name_vars)
         for xv in name_vars:
             add(NAMEHOOD, (-xv, lv))
-    _non_name_semantics(cnf, vm, interp)
+    _non_name_semantics(cnf, vm, interp, z, nz)
     cnf.declare_vars(vm.num_vars)
     return cnf
 

@@ -236,6 +236,43 @@ class NativeSession(SolverSession):
 # ---------------------------------------------------------------------------
 # DIMACS pipeline
 
+_CHUNK = 1 << 16  # literals per piece of DIMACS text, rounded up to a clause
+
+
+def _literal_table(bound: int) -> dict[int, str]:
+    """DIMACS token of every literal in -bound..bound: "<lit> " and, for the
+    clause terminator 0, "0\n".  A dict, not a list: an undeclared literal
+    must raise KeyError, where a negative list index would silently pick a
+    wrong string."""
+    table = {lit: f"{lit} " for lit in range(-bound, bound + 1)}
+    table[0] = "0\n"
+    return table
+
+
+def _pieces(lits: array, table: dict[int, str]) -> list[str]:
+    """DIMACS clause lines of a 0-terminated literal buffer, in pieces of
+    about _CHUNK literals that each end at a clause end."""
+    get = table.__getitem__
+    pieces = []
+    start, end = 0, len(lits)
+    while start < end:
+        stop = lits.index(0, min(start + _CHUNK, end - 1)) + 1
+        pieces.append("".join(map(get, lits[start:stop])))
+        start = stop
+    return pieces
+
+
+def _clause_text(lits: array, num_vars: int) -> tuple[list[str], int]:
+    """The pieces of _pieces plus the variable count for the header:
+    num_vars, or the largest |literal| where a literal exceeds it (a
+    hand-built Cnf need not declare its variables)."""
+    try:
+        return _pieces(lits, _literal_table(num_vars)), num_vars
+    except KeyError:
+        bound = max(max(lits), -min(lits))
+        return _pieces(lits, _literal_table(bound)), bound
+
+
 def export_dimacs(cnf: Cnf, vm: VarMap | None = None) -> str:
     """Standard DIMACS text; with a variable map, `c <id> = <tag>` comments
     document the encoding (stable across runs for identical inputs)."""
@@ -243,18 +280,12 @@ def export_dimacs(cnf: Cnf, vm: VarMap | None = None) -> str:
         raise SolverError("cannot export a counted-only clause set")
     out: list[str] = []
     if vm is not None:
-        out.extend(vm.comment_lines())
-    # hand-built Cnf instances may never declare their variables
-    seen = max(map(abs, cnf.lits), default=0)
-    out.append(f"p cnf {max(cnf.num_vars, seen, vm.num_vars if vm else 0)} "
-               f"{cnf.num_clauses}")
-    line: list[str] = []
-    for lit in cnf.lits:
-        line.append(str(lit))
-        if lit == 0:
-            out.append(" ".join(line))
-            line = []
-    return "\n".join(out) + "\n"
+        out.extend(f"{line}\n" for line in vm.comment_lines())
+    pieces, num_vars = _clause_text(
+        cnf.lits, max(cnf.num_vars, vm.num_vars if vm else 0))
+    out.append(f"p cnf {num_vars} {cnf.num_clauses}\n")
+    out.extend(pieces)
+    return "".join(out)
 
 
 def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
@@ -325,18 +356,13 @@ class DimacsSession(SolverSession):
         assumptions = list(assumptions)
         self._track(assumptions)
         total = self.num_clauses + len(assumptions)
-        lines = [f"p cnf {self.num_vars} {total}"]
-        clause: list[str] = []
-        for lit in self._lits:
-            clause.append(str(lit))
-            if lit == 0:
-                lines.append(" ".join(clause))
-                clause = []
-        lines.extend(f"{lit} 0" for lit in assumptions)
+        pieces, _ = _clause_text(self._lits, self.num_vars)
         start = time.perf_counter()
         with tempfile.NamedTemporaryFile(
                 mode="w", suffix=".cnf", prefix="alcfit-", delete=False) as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(f"p cnf {self.num_vars} {total}\n")
+            fh.writelines(pieces)
+            fh.writelines(f"{lit} 0\n" for lit in assumptions)
             path = Path(fh.name)
         try:
             proc = subprocess.run(

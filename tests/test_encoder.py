@@ -3,9 +3,12 @@ from __future__ import annotations
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alcfit.concepts import (And, Exists, Forall, Not, O_ALL, Or, Signature,
-                             fits, in_fragment, size)
+from alcfit.benchgen import gen_random
+from alcfit.concepts import (And, Bot, Exists, Forall, Name, Not, O_ALL, Or,
+                             Signature, Top, evaluate, fits, in_fragment, size)
 from alcfit.data import compute_types, interpretation_signature
 from alcfit.encoder import (EncodingError, VarMap, decode_model,
                             encode_coverage_at_least, encode_fitting,
@@ -63,7 +66,6 @@ def test_typed_and_base_agree_and_decode(fig1_sample):
 
 
 def test_root_extension_row_matches_evaluation(fig1_sample):
-    from alcfit.concepts import evaluate
     for typed in (True, False):
         cnf, vm = build_encoding(fig1_sample, 4, O_ALL, typed=typed)
         session = make_session()
@@ -77,6 +79,73 @@ def test_root_extension_row_matches_evaluation(fig1_sample):
             assert row == evaluate(concept, fig1_sample.interp)
         finally:
             session.close()
+
+
+def _node_concepts(model, vm) -> list:
+    """The subconcept rooted at each node of a model's syntax tree, node i
+    at index i - 1, read from the x / y1 / y2 variables."""
+    sub = [None] * vm.k
+    for i in range(vm.k, 0, -1):  # children follow their parent
+        (lab,) = [lab for lab in vm.labels if model[vm.x(i, lab)]]
+        kind = lab[0]
+        if kind == "top":
+            sub[i - 1] = Top()
+        elif kind == "bot":
+            sub[i - 1] = Bot()
+        elif kind == "name":
+            sub[i - 1] = Name(lab[1])
+        elif kind in ("and", "or"):
+            (j,) = [j for j in range(i + 1, vm.k) if model[vm.y2(i, j)]]
+            ctor = And if kind == "and" else Or
+            sub[i - 1] = ctor(sub[j - 1], sub[j])
+        else:
+            (j,) = [j for j in range(i + 1, vm.k + 1) if model[vm.y1(i, j)]]
+            if kind == "not":
+                sub[i - 1] = Not(sub[j - 1])
+            else:
+                ctor = Exists if kind == "exists" else Forall
+                sub[i - 1] = ctor(lab[1], sub[j - 1])
+    return sub
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10_000), elements=st.integers(1, 6),
+       names=st.integers(1, 2), roles=st.integers(1, 2),
+       density=st.sampled_from((0.2, 0.4, 0.7)), k=st.integers(1, 5),
+       typed=st.booleans())
+def test_every_z_row_matches_evaluation(seed, elements, names, roles,
+                                        density, k, typed):
+    # every node's z row, not only the root's, must be the extension of
+    # the subconcept rooted there: this checks each semantics block
+    sample = gen_random(elements, names, roles, density,
+                        (elements + 1) // 2, elements // 2, seed)
+    interp = sample.interp
+    cnf, vm = encode_syntax(k, O_ALL, interpretation_signature(interp))
+    vm.bind(interp)
+    if typed:
+        cnf.absorb(encode_semantics_typed(k, interp, vm,
+                                          compute_types(interp)))
+    else:
+        cnf.absorb(encode_semantics_base(k, interp, vm))
+    cnf.absorb(encode_templates(k, vm))
+    # with the fitting units if some size-k concept fits, else without
+    for fitting in (encode_fitting(sample, vm), None):
+        session = make_session()
+        try:
+            session.add_cnf(cnf)
+            if fitting is not None:
+                session.add_cnf(fitting)
+            out = session.solve()
+        finally:
+            session.close()
+        if out.status == "sat":
+            break
+    assert out.status == "sat"
+    sub = _node_concepts(out.model, vm)
+    assert sub[0] == decode_model(out.model, vm)
+    for i in range(1, k + 1):
+        row = {e for e in interp.domain if out.model[vm.z(i, e)]}
+        assert row == evaluate(sub[i - 1], interp), (i, sub[i - 1])
 
 
 def test_name_semantics_clause_counts(fig1_sample):
@@ -101,20 +170,27 @@ def test_name_semantics_clause_counts(fig1_sample):
 
 
 def test_count_only_matches_stored_counts(fig1_sample):
-    interp = fig1_sample.interp
-    sigma = interpretation_signature(interp)
-    for builder in (encode_semantics_base,
-                    lambda k, i, vm, count_only=False: encode_semantics_typed(
-                        k, i, vm, compute_types(i), count_only=count_only)):
-        _, vm = encode_syntax(3, O_ALL, sigma)
-        vm.bind(interp)
-        stored = builder(3, interp, vm)
-        _, vm2 = encode_syntax(3, O_ALL, sigma)
-        vm2.bind(interp)
-        counted = builder(3, interp, vm2, count_only=True)
-        assert counted.num_clauses == stored.num_clauses
-        assert not counted.store
-        assert len(counted.lits) == 0
+    two_roles = gen_random(12, 2, 2, 0.3, 3, 3, seed=5)
+    assert len(two_roles.interp.role_ext) == 2
+    for sample in (fig1_sample, two_roles):
+        interp = sample.interp
+        sigma = interpretation_signature(interp)
+        for builder in (encode_semantics_base,
+                        lambda k, i, vm, count_only=False:
+                        encode_semantics_typed(k, i, vm, compute_types(i),
+                                               count_only=count_only)):
+            _, vm = encode_syntax(3, O_ALL, sigma)
+            vm.bind(interp)
+            stored = builder(3, interp, vm)
+            _, vm2 = encode_syntax(3, O_ALL, sigma)
+            vm2.bind(interp)
+            counted = builder(3, interp, vm2, count_only=True)
+            assert counted.num_clauses == stored.num_clauses
+            assert counted.groups == stored.groups
+            # the stored blocks hold as many clauses as they report
+            assert stored.lits.count(0) == stored.num_clauses
+            assert not counted.store
+            assert len(counted.lits) == 0
 
 
 def test_var_map_guards(fig1_sample):

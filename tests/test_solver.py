@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alcfit.benchgen import gen_random
 from alcfit.concepts import O_ALL, fits
 from alcfit.encoder import Cnf, decode_model
 from alcfit.solver import (DimacsSession, NativeSession, SolverConfig,
@@ -222,6 +223,19 @@ def test_export_dimacs_minimal_example():
     assert export_dimacs(cnf) == "p cnf 2 1\n1 -2 0\n"
 
 
+def test_export_dimacs_counts_undeclared_variables():
+    # literal 5 and -5 lie beyond the declared 2 variables; -5 must not be
+    # looked up as a negative index from the end of a literal table
+    cnf = Cnf()
+    cnf.declare_vars(2)
+    cnf.add("t", [1, -5])
+    assert export_dimacs(cnf) == "p cnf 5 1\n1 -5 0\n"
+
+
+def test_export_dimacs_empty():
+    assert export_dimacs(Cnf()) == "p cnf 0 0\n"
+
+
 def test_export_dimacs_with_varmap_comments(fig1_sample):
     cnf, vm = build_encoding(fig1_sample, 2, O_ALL)
     text = export_dimacs(cnf, vm)
@@ -243,6 +257,19 @@ def test_parse_dimacs_round_trip(fig1_sample):
         assert session.solve().status == "sat"
     finally:
         session.close()
+
+
+def test_export_matches_per_clause_text_with_roles():
+    sample = gen_random(60, 2, 2, 0.1, 3, 3, seed=3)
+    cnf, vm = build_encoding(sample, 5, O_ALL)
+    clauses = list(cnf.clauses())
+    assert len(cnf.lits) > 1 << 16  # more than one piece of text
+    text = export_dimacs(cnf)
+    # the plain one-line-per-clause rendering is the reference
+    assert text == (f"p cnf {vm.num_vars} {cnf.num_clauses}\n" + "".join(
+        " ".join(map(str, clause + [0])) + "\n" for clause in clauses))
+    assert parse_dimacs(text) == (vm.num_vars, clauses)
+    assert len(clauses) == cnf.num_clauses
 
 
 def test_parse_dimacs_rejects_bad_header():
