@@ -1,7 +1,7 @@
 """Command-line front end.
 
     alcfit fit <manifest> [--ops ...] [--mode exact|approx] [--max-size N]
-    alcfit encode <manifest> --max-size K [--emit-dimacs out.cnf]
+    alcfit encode <manifest> --max-size K [--emit-dimacs out.cnf | --stats]
     alcfit verify <manifest> <concept>
     alcfit dualize (<manifest> --out DIR | --concept TEXT) [--names A,B]
     alcfit gen <family> [params] --out DIR
@@ -24,7 +24,7 @@ from .concepts import (ConceptError, O_ALL, dualize_concept, evaluate,
                        render_concept)
 from .data import (DataError, Sample, compute_types, dualize_sample,
                    interpretation_signature, load_sample, save_sample)
-from .encoder import (encode_fitting, encode_semantics_base,
+from .encoder import (Cnf, encode_fitting, encode_semantics_base,
                       encode_semantics_typed, encode_syntax, encode_templates)
 from .fitter import (APPROXIMATE, FITTED, NO_FIT_WITHIN_BOUND, TIMED_OUT,
                      FitConfig, FitResult, approx_fit, bounded_fit, verify)
@@ -96,8 +96,12 @@ def build_parser() -> _Parser:
     enc = sub.add_parser("encode", help="export one size-k encoding as DIMACS")
     enc.add_argument("manifest")
     _add_fit_flags(enc)
-    enc.add_argument("--emit-dimacs", metavar="PATH", default=None,
+    out = enc.add_mutually_exclusive_group()
+    out.add_argument("--emit-dimacs", metavar="PATH", default=None,
                      help="output file (default: stdout)")
+    out.add_argument("--stats", action="store_true",
+                     help="print variable, clause and per-group counts "
+                     "instead of the DIMACS text")
 
     ver = sub.add_parser("verify", help="check whether a concept fits a sample")
     ver.add_argument("manifest")
@@ -236,15 +240,25 @@ def cmd_encode(args) -> int:
         raise DataError("--max-size must be at least 1")
     sigma = interpretation_signature(sample.interp)
     cnf, vm = encode_syntax(k, args.ops, sigma)
+    if args.stats:  # semantics blocks are counted, not built
+        cnf = Cnf(store=False).absorb(cnf)
     vm.bind(sample.interp)
     if args.no_typed:
-        cnf.absorb(encode_semantics_base(k, sample.interp, vm))
+        cnf.absorb(encode_semantics_base(k, sample.interp, vm,
+                                         count_only=args.stats))
     else:
         types = compute_types(sample.interp)
-        cnf.absorb(encode_semantics_typed(k, sample.interp, vm, types))
+        cnf.absorb(encode_semantics_typed(k, sample.interp, vm, types,
+                                          count_only=args.stats))
     if not args.no_templates:
         cnf.absorb(encode_templates(k, vm))
     cnf.absorb(encode_fitting(sample, vm))
+    if args.stats:
+        print(f"vars: {vm.num_vars}")
+        print(f"clauses: {cnf.num_clauses}")
+        for tag in sorted(cnf.groups):
+            print(f"{tag}: {cnf.groups[tag]}")
+        return 0
     text = export_dimacs(cnf, vm)
     if args.emit_dimacs:
         Path(args.emit_dimacs).write_text(text, encoding="utf-8")

@@ -6,6 +6,8 @@ Propositional variables, with node indices i, j ranging over 1..k:
     y1[i,j]   unary node i has the single child j          (i < j <= k)
     y2[i,j]   binary node i has the children j and j+1     (i < j <= k-1)
     z[i,a]    element a satisfies the subconcept rooted at node i
+    c[i,a]    element a satisfies node i's unary child          (i < k; only
+              when the alphabet has an exists/forall label)
     xt[i,t]   typed mode: node i's label, read as a name, belongs to type t
     l[i]      typed mode: node i is labeled by some concept name
     s[q,m]    cardinality: at least m of the first q example literals hold
@@ -24,19 +26,23 @@ permitted by the operator set (quantifier and role fused into one label,
 matching the size measure).
 
 Clause groups: "syntax", "semantics" (with subgroups "semantics.names" for
-name-label semantics and "semantics.namehood" for the l[i] definitions),
-"fitting", "cardinality", "template" (symmetry breaking and pattern bans).
+name-label semantics, "semantics.namehood" for the l[i] definitions and
+"semantics.child" for the child rows), "fitting", "cardinality",
+"template" (symmetry breaking and pattern bans).
 
-The semantics clauses come in blocks, one per (node, label, child): the
-same few clauses repeated for every domain element.  Each block is built
-over the whole domain as one literal array and appended with
-Cnf.add_block.  Blocks whose clauses have a fixed shape per element (top,
-bot, names, negation, and, or, and the typed type rows) repeat a one-element
-pattern n times and fill the element-dependent positions by strided slice
-assignment from prebuilt z / xt rows (_add_rows).  Quantifier blocks depend
-on the role's successor lists; their layout is an index template, built
-once per label, that gathers the literals from [0, -x, -y] + z_i + (-z_i)
-+ z_j + (-z_j) (_quantifier_template).  Counting-only encodings compute
+The semantics clauses come in blocks: the same few clauses repeated for
+every domain element.  Each block is built over the whole domain as one
+literal array and appended with Cnf.add_block.  Blocks whose clauses have a
+fixed shape per element (top, bot, names, negation, and, or, the child
+rows and the typed type rows) repeat a one-element pattern n times and fill
+the element-dependent positions by strided slice assignment from prebuilt
+z / c / xt rows (_add_rows).  Negation, and, or and the child rows come one
+block per (node, child): the child row is tied to the child once per edge,
+y1[i,j] -> (c[i,a] <-> z[j,a]).  Quantifier blocks then read the child row
+and come one per (node, label), not one per (node, label, child).  They
+depend on the role's successor lists; their layout is an index template,
+built once per label, that gathers the literals from [0, -x] + z_i + (-z_i)
++ c_i + (-c_i) (_quantifier_template).  Counting-only encodings compute
 each block's clause count and build no block.
 """
 
@@ -132,7 +138,8 @@ class Cnf:
     def absorb(self, other: "Cnf") -> "Cnf":
         if self.store and not other.store:
             raise EncodingError("cannot absorb counted-only clauses")
-        self.lits.extend(other.lits)
+        if self.store:
+            self.lits.extend(other.lits)
         self.num_clauses += other.num_clauses
         self.declare_vars(other.num_vars)
         for tag, n in other.groups.items():
@@ -182,6 +189,7 @@ class VarMap:
                     for i in range(1, k + 1) for j in range(i + 1, k)}
         self.interp: Interpretation | None = None
         self._z: list[list[int]] = []
+        self._c: list[list[int]] = []
         self._xt: list[list[int]] = []
         self._ell: list[int] = []
         self._types: TypeTable | None = None
@@ -212,7 +220,9 @@ class VarMap:
         return self._y2[(i, j)]
 
     def bind(self, interp: Interpretation) -> None:
-        """Attach the interpretation and allocate the z block (first call)."""
+        """Attach the interpretation and allocate the z rows, plus the child
+        rows of nodes 1..k-1 when the alphabet has a quantifier (first
+        call)."""
         if self.interp is not None:
             if self.interp is not interp and self.interp != interp:
                 raise EncodingError("variable map already bound to a "
@@ -223,6 +233,10 @@ class VarMap:
         self._z = [[self._alloc(("z", i, interp.domain[e]))
                     for e in range(n)]
                    for i in range(1, self.k + 1)]
+        if any(lab[0] in ("exists", "forall") for lab in self.labels):
+            self._c = [[self._alloc(("child", i, interp.domain[e]))
+                        for e in range(n)]
+                       for i in range(1, self.k)]
 
     def z(self, i: int, element: str) -> int:
         if self.interp is None:
@@ -231,6 +245,11 @@ class VarMap:
 
     def z_row(self, i: int) -> list[int]:
         return self._z[i - 1]
+
+    def c_row(self, i: int) -> list[int]:
+        """Node i's child row; empty for node k, which has no child, and
+        without quantifier labels."""
+        return self._c[i - 1] if i <= len(self._c) else []
 
     def ensure_typed(self, types: TypeTable) -> None:
         if self._types is not None:
@@ -368,34 +387,36 @@ def _add_rows(cnf: Cnf, tag: str, n: int, *shapes) -> None:
 def _quantifier_template(kind: str, targets: list[tuple[int, ...]],
                          ) -> list[int]:
     """Layout of one exists/forall block as indices into the literal list
-    [0, -x, -y] + z_i + (-z_i) + z_j + (-z_j), where x is the label's and y
-    the edge's variable and targets[e] the successors of element e.  Per
+    [0, -x] + z_i + (-z_i) + c_i + (-c_i), where x is the label's variable,
+    c_i node i's child row and targets[e] the successors of element e.  Per
     element e, with b ranging over its successors:
 
-        exists: (-x, -y, -z_i[e], z_j[b]...), then (-x, -y, -z_j[b], z_i[e])
-        forall: (-x, -y, z_i[e], -z_j[b]...), then (-x, -y, -z_i[e], z_j[b])
+        exists: (-x, -z_i[e], c_i[b]...), then (-x, -c_i[b], z_i[e])
+        forall: (-x, z_i[e], -c_i[b]...), then (-x, -z_i[e], c_i[b])
     """
     n = len(targets)
-    zi, nzi, zj, nzj = 3, 3 + n, 3 + 2 * n, 3 + 3 * n
+    zi, nzi, ci, nci = 2, 2 + n, 2 + 2 * n, 2 + 3 * n
     idx: list[int] = []
     for e, succ in enumerate(targets):
         if kind == "exists":
-            idx += [1, 2, nzi + e, *[zj + b for b in succ], 0]
+            idx += [1, nzi + e, *[ci + b for b in succ], 0]
             for b in succ:
-                idx += [1, 2, nzj + b, zi + e, 0]
+                idx += [1, nci + b, zi + e, 0]
         else:
-            idx += [1, 2, zi + e, *[nzj + b for b in succ], 0]
+            idx += [1, zi + e, *[nci + b for b in succ], 0]
             for b in succ:
-                idx += [1, 2, nzi + e, zj + b, 0]
+                idx += [1, nzi + e, ci + b, 0]
     return idx
 
 
 def _non_name_semantics(cnf: Cnf, vm: VarMap, interp: Interpretation,
                         z: list[array], nz: list[array]) -> None:
     """Semantics clauses for top/bot and all operator labels (shared by the
-    base and typed encodings), one block per (node, label, child); z and nz
-    are the rows of _z_rows."""
+    base and typed encodings): one block per (node, child) for negation,
+    and, or and the child rows, one per (node, label) for the quantifiers;
+    z and nz are the rows of _z_rows."""
     SEM = "semantics"
+    CHILD = "semantics.child"
     k = vm.k
     n = len(interp.domain)
     dom = interp.domain
@@ -419,6 +440,18 @@ def _non_name_semantics(cnf: Cnf, vm: VarMap, interp: Interpretation,
         xbot = vm.x(i, ("bot",))
         _add_rows(cnf, SEM, n, (-xtop, zi), (-xbot, nzi))
 
+        ci = array("i", vm.c_row(i))
+        if ci:
+            # y1[i,j] -> (c[i,a] <-> z[j,a]): the quantifier blocks below
+            # read node i's child through c_i, whichever j it is
+            nci = array("i", map(neg, ci))
+            for j in range(i + 1, k + 1):
+                yv = vm.y1(i, j)
+                _add_rows(cnf, CHILD, n, (-yv, nci, z[j - 1]),
+                          (-yv, ci, nz[j - 1]))
+            # the quantifier templates' literal list after [0, -x]
+            src_rows = [*zi, *nzi, *ci, *nci]
+
         for lab in vm.labels:
             kind = lab[0]
             if kind in ("top", "bot", "name"):
@@ -437,14 +470,12 @@ def _non_name_semantics(cnf: Cnf, vm: VarMap, interp: Interpretation,
                         _add_rows(cnf, SEM, n, (-xv, -yv, zi, nzj),
                                   (-xv, -yv, zi, nzjj),
                                   (-xv, -yv, nzi, zj, zjj))
-                continue
-            for j in range(i + 1, k + 1):
-                yv = vm.y1(i, j)
-                zj, nzj = z[j - 1], nz[j - 1]
-                if kind == "not":
-                    _add_rows(cnf, SEM, n, (-xv, -yv, nzi, nzj),
-                              (-xv, -yv, zi, zj))
-                    continue
+            elif kind == "not":
+                for j in range(i + 1, k + 1):
+                    yv = vm.y1(i, j)
+                    _add_rows(cnf, SEM, n, (-xv, -yv, nzi, nz[j - 1]),
+                              (-xv, -yv, zi, z[j - 1]))
+            elif ci:  # no child row, no child: no quantifier block
                 count = block_size[lab[1]]
                 if not cnf.store:
                     cnf.add_block(SEM, count)
@@ -453,7 +484,7 @@ def _non_name_semantics(cnf: Cnf, vm: VarMap, interp: Interpretation,
                 if idx is None:
                     idx = templates[lab] = _quantifier_template(
                         kind, succ_rows[lab[1]])
-                src = [0, -xv, -yv, *zi, *nzi, *zj, *nzj]
+                src = [0, -xv, *src_rows]
                 block = array("i")
                 block.fromlist(list(map(src.__getitem__, idx)))
                 cnf.add_block(SEM, count, block)

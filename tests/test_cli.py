@@ -194,6 +194,36 @@ def test_encode_to_stdout(fig1_manifest, capsys):
     assert main(["encode", str(fig1_manifest), "--max-size", "0"]) == 65
 
 
+def test_encode_stats(fig1_manifest, tmp_path, capsys):
+    out = tmp_path / "fig1_k4.cnf"
+    assert main(["encode", str(fig1_manifest), "--max-size", "4",
+                 "--emit-dimacs", str(out)]) == 0
+    capsys.readouterr()
+    header = re.search(r"^p cnf (\d+) (\d+)$",
+                       out.read_text(encoding="utf-8"), re.MULTILINE)
+    for flags in ([], ["--no-typed", "--no-templates"]):
+        assert main(["encode", str(fig1_manifest), "--max-size", "4",
+                     "--stats", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        stats = dict(line.split(": ") for line in lines)
+        counts = {key: int(value) for key, value in stats.items()}
+        groups = {key: n for key, n in counts.items()
+                  if key not in ("vars", "clauses")}
+        assert sum(groups.values()) == counts["clauses"]
+        assert counts["semantics.child"] == 2 * 7 * (4 * 3 // 2)  # 7 elements
+        if not flags:  # the counts of the DIMACS text of the same encoding
+            assert (counts["vars"], counts["clauses"]) == tuple(
+                map(int, header.groups()))
+            assert counts["template"] > 0
+        else:
+            assert "template" not in counts
+            assert "semantics.namehood" not in counts
+    with pytest.raises(SystemExit) as exc:  # --stats writes no DIMACS
+        main(["encode", str(fig1_manifest), "--max-size", "4",
+              "--stats", "--emit-dimacs", str(out)])
+    assert exc.value.code == 64
+
+
 def test_gen_families(tmp_path, capsys):
     cases = [
         (["gen", "hitting-set", "--sets", "1,3;2,4", "--k", "2"],

@@ -3,7 +3,7 @@ from __future__ import annotations
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alcfit.benchgen import gen_random
@@ -108,19 +108,24 @@ def _node_concepts(model, vm) -> list:
     return sub
 
 
+Z_ROW_OPS = (O_ALL, frozenset({"exists", "and"}),
+             frozenset({"forall", "or", "neg"}),
+             frozenset({"neg", "and", "or"}))
+
+
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 10_000), elements=st.integers(1, 6),
        names=st.integers(1, 2), roles=st.integers(1, 2),
        density=st.sampled_from((0.2, 0.4, 0.7)), k=st.integers(1, 5),
-       typed=st.booleans())
+       typed=st.booleans(), ops=st.sampled_from(Z_ROW_OPS))
 def test_every_z_row_matches_evaluation(seed, elements, names, roles,
-                                        density, k, typed):
+                                        density, k, typed, ops):
     # every node's z row, not only the root's, must be the extension of
     # the subconcept rooted there: this checks each semantics block
     sample = gen_random(elements, names, roles, density,
                         (elements + 1) // 2, elements // 2, seed)
     interp = sample.interp
-    cnf, vm = encode_syntax(k, O_ALL, interpretation_signature(interp))
+    cnf, vm = encode_syntax(k, ops, interpretation_signature(interp))
     vm.bind(interp)
     if typed:
         cnf.absorb(encode_semantics_typed(k, interp, vm,
@@ -140,12 +145,23 @@ def test_every_z_row_matches_evaluation(seed, elements, names, roles,
             session.close()
         if out.status == "sat":
             break
+    if ops != O_ALL:  # a fragment may have no tree of size k at all
+        assume(out.status == "sat")
     assert out.status == "sat"
     sub = _node_concepts(out.model, vm)
     assert sub[0] == decode_model(out.model, vm)
     for i in range(1, k + 1):
         row = {e for e in interp.domain if out.model[vm.z(i, e)]}
         assert row == evaluate(sub[i - 1], interp), (i, sub[i - 1])
+    # a unary node's child row is its child's z row
+    quantified = any(lab[0] in ("exists", "forall") for lab in vm.labels)
+    assert bool(vm.c_row(1)) == (quantified and k > 1)
+    for i in range(1, k):
+        kids = [j for j in range(i + 1, k + 1) if out.model[vm.y1(i, j)]]
+        if kids and vm.c_row(i):
+            (j,) = kids
+            assert ([out.model[v] for v in vm.c_row(i)]
+                    == [out.model[v] for v in vm.z_row(j)]), (i, j)
 
 
 def test_name_semantics_clause_counts(fig1_sample):
@@ -191,6 +207,55 @@ def test_count_only_matches_stored_counts(fig1_sample):
             assert stored.lits.count(0) == stored.num_clauses
             assert not counted.store
             assert len(counted.lits) == 0
+
+
+def test_child_row_and_quantifier_clause_counts():
+    # one child channel of 2n clauses per y1 edge, and one quantifier block
+    # of n + |E_r| clauses per (node i < k, label)
+    sample = gen_random(9, 2, 2, 0.3, 3, 3, seed=11)
+    interp = sample.interp
+    sigma = interpretation_signature(interp)
+    n = len(interp.domain)
+    edges = [len(pairs) for pairs in interp.role_ext.values()]
+    assert len(edges) == 2
+    quantifier = 2 * sum(n + e for e in edges)  # exists and forall per role
+    k = 4
+    top_bot = 2 * n * k
+    negation = 2 * n * k * (k - 1) // 2
+    and_or = 2 * 3 * n * (k - 1) * (k - 2) // 2
+    for ops, semantics in ((O_ALL, top_bot + negation + and_or),
+                           (frozenset({"exists", "forall"}), top_bot)):
+        groups = []
+        for count_only in (False, True):
+            _, vm = encode_syntax(k, ops, sigma)
+            vm.bind(interp)
+            groups.append(encode_semantics_base(
+                k, interp, vm, count_only=count_only).groups)
+        stored, counted = groups
+        assert stored == counted
+        assert stored["semantics.child"] == 2 * n * k * (k - 1) // 2
+        assert stored["semantics"] == semantics + (k - 1) * quantifier
+
+    # child rows exist only with a quantifier label: none for a role-free
+    # sample, none for a role sample under {neg, and, or}
+    no_roles = gen_random(9, 2, 0, 0.3, 3, 3, seed=11)
+    for smp, ops, child_rows in ((no_roles, O_ALL, False),
+                                 (sample, frozenset({"neg", "and", "or"}),
+                                  False),
+                                 (sample, O_ALL, True)):
+        sig = interpretation_signature(smp.interp)
+        _, vm = encode_syntax(k, ops, sig)
+        vm.bind(smp.interp)
+        cnf = encode_semantics_base(k, smp.interp, vm)
+        without_child_rows = (k * len(vm.labels) + k * (k - 1) // 2
+                              + (k - 1) * (k - 2) // 2 + k * n)
+        if child_rows:
+            assert vm.num_vars == without_child_rows + (k - 1) * n
+            assert vm.describe(vm.c_row(2)[0]) == "child[2,e1]"
+        else:
+            assert vm.num_vars == without_child_rows
+            assert vm.c_row(1) == []
+            assert "semantics.child" not in cnf.groups
 
 
 def test_var_map_guards(fig1_sample):

@@ -261,7 +261,7 @@ def test_parse_dimacs_round_trip(fig1_sample):
 
 def test_export_matches_per_clause_text_with_roles():
     sample = gen_random(60, 2, 2, 0.1, 3, 3, seed=3)
-    cnf, vm = build_encoding(sample, 5, O_ALL)
+    cnf, vm = build_encoding(sample, 6, O_ALL)
     clauses = list(cnf.clauses())
     assert len(cnf.lits) > 1 << 16  # more than one piece of text
     text = export_dimacs(cnf)
