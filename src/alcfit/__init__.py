@@ -23,7 +23,7 @@ from .encoder import (Cnf, EncodingError, VarMap, decode_model,
                       encode_syntax, encode_templates, pattern_bans_active)
 from .fitter import (APPROXIMATE, FITTED, NO_FIT_WITHIN_BOUND, TIMED_OUT,
                      FitConfig, FitResult, KStat, VerifyReport, approx_fit,
-                     bounded_fit, verify)
+                     bounded_fit, encode_size, verify)
 from .oracle import (brute_force_fit, enumerate_concepts, exact_fit_profile,
                      max_coverage)
 from .solver import (SAT, SolveOutcome, SolverConfig, SolverError, UNKNOWN,

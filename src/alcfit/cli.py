@@ -22,12 +22,12 @@ from pathlib import Path
 from .concepts import (ConceptError, O_ALL, dualize_concept, evaluate,
                        format_operators, parse_concept, parse_operators,
                        render_concept)
-from .data import (DataError, Sample, compute_types, dualize_sample,
+from .data import (DataError, Sample, dualize_sample,
                    interpretation_signature, load_sample, save_sample)
-from .encoder import (Cnf, encode_fitting, encode_semantics_base,
-                      encode_semantics_typed, encode_syntax, encode_templates)
+from .encoder import encode_fitting
 from .fitter import (APPROXIMATE, FITTED, NO_FIT_WITHIN_BOUND, TIMED_OUT,
-                     FitConfig, FitResult, approx_fit, bounded_fit, verify)
+                     FitConfig, FitResult, approx_fit, bounded_fit,
+                     encode_size, verify)
 from .solver import export_dimacs
 from . import benchgen
 
@@ -52,27 +52,29 @@ def _ops_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+def _add_encoding_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ops", type=_ops_arg, default=O_ALL,
                    help="comma list of neg,and,or,exists,forall (default all)")
     p.add_argument("--max-size", type=int, default=12, metavar="K",
                    help="largest concept size to try (default 12)")
-    p.add_argument("--mode", choices=("exact", "approx"), default="exact")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
-                   help="wall-clock budget in seconds")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-typed", action="store_true",
                    help="disable the type-table semantic encoding")
     p.add_argument("--no-templates", action="store_true",
                    help="disable level-order symmetry breaking and "
                    "pattern bans")
+
+
+def _add_solve_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", choices=("exact", "approx"), default="exact")
+    p.add_argument("--timeout", type=float, default=None, metavar="S",
+                   help="wall-clock budget in seconds")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--backend", default="native",
                    help='"native" or "dimacs:<command>"')
 
 
 def _config(args) -> FitConfig:
-    mode = {"exact": "exact", "approx": "approximate"}[getattr(args, "mode",
-                                                               "exact")]
+    mode = {"exact": "exact", "approx": "approximate"}[args.mode]
     return FitConfig(ops=args.ops, k_max=args.max_size,
                      budget=args.timeout, typed=not args.no_typed,
                      templates=not args.no_templates,
@@ -87,15 +89,17 @@ def build_parser() -> _Parser:
 
     fit = sub.add_parser("fit", help="search for a minimum fitting concept")
     fit.add_argument("manifest")
-    _add_fit_flags(fit)
-    fit.add_argument("--report", metavar="PATH",
+    _add_encoding_flags(fit)
+    _add_solve_flags(fit)
+    run = fit.add_mutually_exclusive_group()
+    run.add_argument("--report", metavar="PATH",
                      help="also write a JSON report to PATH")
-    fit.add_argument("--folds", type=int, default=0, metavar="N",
+    run.add_argument("--folds", type=int, default=0, metavar="N",
                      help="run N-fold cross-validation instead of one fit")
 
     enc = sub.add_parser("encode", help="export one size-k encoding as DIMACS")
     enc.add_argument("manifest")
-    _add_fit_flags(enc)
+    _add_encoding_flags(enc)
     out = enc.add_mutually_exclusive_group()
     out.add_argument("--emit-dimacs", metavar="PATH", default=None,
                      help="output file (default: stdout)")
@@ -238,20 +242,9 @@ def cmd_encode(args) -> int:
     k = args.max_size
     if k < 1:
         raise DataError("--max-size must be at least 1")
-    sigma = interpretation_signature(sample.interp)
-    cnf, vm = encode_syntax(k, args.ops, sigma)
-    if args.stats:  # semantics blocks are counted, not built
-        cnf = Cnf(store=False).absorb(cnf)
-    vm.bind(sample.interp)
-    if args.no_typed:
-        cnf.absorb(encode_semantics_base(k, sample.interp, vm,
-                                         count_only=args.stats))
-    else:
-        types = compute_types(sample.interp)
-        cnf.absorb(encode_semantics_typed(k, sample.interp, vm, types,
-                                          count_only=args.stats))
-    if not args.no_templates:
-        cnf.absorb(encode_templates(k, vm))
+    cnf, vm = encode_size(sample, k, args.ops, typed=not args.no_typed,
+                          templates=not args.no_templates,
+                          count_only=args.stats)
     cnf.absorb(encode_fitting(sample, vm))
     if args.stats:
         print(f"vars: {vm.num_vars}")
@@ -261,7 +254,11 @@ def cmd_encode(args) -> int:
         return 0
     text = export_dimacs(cnf, vm)
     if args.emit_dimacs:
-        Path(args.emit_dimacs).write_text(text, encoding="utf-8")
+        # in slices: encoding the whole text at once would hold a second,
+        # byte copy of it (tens of MB on large samples)
+        with open(args.emit_dimacs, "w", encoding="utf-8") as fh:
+            for start in range(0, len(text), 1 << 20):
+                fh.write(text[start:start + (1 << 20)])
         print(f"wrote {args.emit_dimacs}: {vm.num_vars} vars, "
               f"{cnf.num_clauses} clauses")
     else:

@@ -1,5 +1,9 @@
 """CNF encoding of "some concept of exact size k fits the sample".
 
+This module holds the pieces; fitter.encode_size assembles them into the
+size-k encoding (syntax, semantics, templates), to which callers add the
+fitting units or the coverage counter.
+
 Propositional variables, with node indices i, j ranging over 1..k:
 
     x[i,v]    node i of the syntax tree carries label v

@@ -9,6 +9,10 @@ examples, records each witness, and raises m past the witness's true
 coverage; when size k cannot reach m it moves on to k+1 with a fresh
 encoding.  Interrupting at any point leaves the best recorded concept.
 
+Both modes take each size-k encoding from encode_size, the one place that
+assembles syntax, semantics and symmetry-breaking clauses, and add their
+goal to it: the fitting units, or the coverage counter.
+
 Every concept handed back has been re-checked against the sample by direct
 evaluation; a mismatch between solver model and evaluation aborts the run
 instead of returning a wrong answer.
@@ -19,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .concepts import (Concept, O_ALL, OperatorSet, Signature, Top, evaluate,
+from .concepts import (Concept, O_ALL, OperatorSet, Top, evaluate,
                        in_fragment, size)
 from .data import Sample, TypeTable, compute_types, interpretation_signature
 from .encoder import (Cnf, EncodingError, VarMap, decode_model,
@@ -31,13 +35,15 @@ from .solver import SolverConfig, make_session
 __all__ = [
     "FITTED", "NO_FIT_WITHIN_BOUND", "APPROXIMATE", "TIMED_OUT",
     "FitConfig", "FitResult", "KStat", "VerifyReport",
-    "bounded_fit", "approx_fit", "verify",
+    "encode_size", "bounded_fit", "approx_fit", "verify",
 ]
 
 FITTED = "fitted"
 NO_FIT_WITHIN_BOUND = "no_fit_within_bound"
 APPROXIMATE = "approximate"
 TIMED_OUT = "timed_out"
+
+K_HORIZON = 4  # approximate mode spreads the budget over this many sizes
 
 
 @dataclass(frozen=True)
@@ -50,15 +56,12 @@ class FitConfig:
     seed: int = 0
     mode: str = "exact"               # exact | approximate
     backend: str = "native"
-    k_horizon: int = 4                # approx: spread budget over this many k
 
     def __post_init__(self) -> None:
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
         if self.mode not in ("exact", "approximate"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.k_horizon < 1:
-            raise ValueError("k_horizon must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,38 @@ class FitResult:
     size: int | None
     per_k: tuple[KStat, ...] = ()
     coverage_history: tuple[int, ...] = ()
+
+
+def encode_size(sample: Sample, k: int, ops: OperatorSet = O_ALL, *,
+                typed: bool = True, templates: bool = True,
+                types: TypeTable | None = None, bans: bool | None = None,
+                count_only: bool = False) -> tuple[Cnf, VarMap]:
+    """The size-k encoding of the sample without a goal: syntax trees over
+    the fragment's alphabet, the semantics of every node in the sample's
+    interpretation, and (templates) level-order symmetry breaking plus the
+    pattern bans that `bans` selects (None: pattern_bans_active).  Callers
+    add encode_fitting or encode_coverage_at_least.
+
+    typed uses the type-table name semantics; `types`, the sample
+    interpretation's table, is computed here when not given.  count_only
+    counts the semantics clauses without building them; the result then
+    cannot be solved or exported.
+    """
+    interp = sample.interp
+    cnf, vm = encode_syntax(k, ops, interpretation_signature(interp))
+    if count_only:
+        cnf = Cnf(store=False).absorb(cnf)
+    if typed:
+        if types is None:
+            types = compute_types(interp)
+        cnf.absorb(encode_semantics_typed(k, interp, vm, types,
+                                          count_only=count_only))
+    else:
+        cnf.absorb(encode_semantics_base(k, interp, vm,
+                                         count_only=count_only))
+    if templates:
+        cnf.absorb(encode_templates(k, vm, bans=bans))
+    return cnf, vm
 
 
 def verify(concept: Concept, sample: Sample) -> VerifyReport:
@@ -121,7 +156,6 @@ class _Run:
     cfg: FitConfig
     deadline: float | None
     types: TypeTable | None
-    sigma: Signature
     stats: list[KStat] = field(default_factory=list)
 
     def remaining(self) -> float | None:
@@ -132,19 +166,6 @@ class _Run:
     def out_of_time(self) -> bool:
         left = self.remaining()
         return left is not None and left <= 0
-
-    def build(self, k: int) -> tuple[VarMap, list[Cnf]]:
-        cfg = self.cfg
-        syn, vm = encode_syntax(k, cfg.ops, self.sigma)
-        interp = self.sample.interp
-        if cfg.typed:
-            sem = encode_semantics_typed(k, interp, vm, self.types)
-        else:
-            sem = encode_semantics_base(k, interp, vm)
-        parts = [syn, sem]
-        if cfg.templates:
-            parts.append(encode_templates(k, vm))
-        return vm, parts
 
     def session(self):
         return make_session(SolverConfig(backend=self.cfg.backend,
@@ -157,8 +178,7 @@ def _prepare(sample: Sample, cfg: FitConfig, mode: str) -> _Run:
     deadline = (None if cfg.budget is None
                 else time.monotonic() + cfg.budget)
     types = compute_types(sample.interp) if cfg.typed else None
-    sigma = interpretation_signature(sample.interp)
-    return _Run(sample, cfg, deadline, types, sigma)
+    return _Run(sample, cfg, deadline, types)
 
 
 def _trivial_result(sample: Sample) -> FitResult | None:
@@ -177,11 +197,11 @@ def bounded_fit(sample: Sample, cfg: FitConfig = FitConfig()) -> FitResult:
     for k in range(1, cfg.k_max + 1):
         if run.out_of_time():
             return FitResult(TIMED_OUT, None, None, None, tuple(run.stats))
-        vm, parts = run.build(k)
-        parts.append(encode_fitting(sample, vm))
+        cnf, vm = encode_size(sample, k, cfg.ops, typed=cfg.typed,
+                              templates=cfg.templates, types=run.types)
         with run.session() as sess:
-            for part in parts:
-                sess.add_cnf(part)
+            sess.add_cnf(cnf)
+            sess.add_cnf(encode_fitting(sample, vm))
             out = sess.solve(timeout=run.remaining())
             run.stats.append(KStat(k, sess.num_vars, sess.num_clauses,
                                    out.status, out.time))
@@ -223,13 +243,13 @@ def approx_fit(sample: Sample, cfg: FitConfig = FitConfig(mode="approximate"),
             return wrap_up()
         left = run.remaining()
         slice_deadline = (None if left is None
-                          else time.monotonic() + left / cfg.k_horizon)
-        vm, parts = run.build(k)
+                          else time.monotonic() + left / K_HORIZON)
+        cnf, vm = encode_size(sample, k, cfg.ops, typed=cfg.typed,
+                              templates=cfg.templates, types=run.types)
         spent = 0.0
         last_status = "none"
         with run.session() as sess:
-            for part in parts:
-                sess.add_cnf(part)
+            sess.add_cnf(cnf)
             while True:
                 if run.out_of_time():
                     run.stats.append(KStat(k, sess.num_vars,

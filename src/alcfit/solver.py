@@ -47,8 +47,6 @@ class SolverError(RuntimeError):
 class SolverConfig:
     backend: str = "native"        # "native" or "dimacs:<command>"
     seed: int = 0
-    conflict_budget: int | None = None
-    timeout: float | None = None   # seconds, wall clock
 
 
 @dataclass(frozen=True)
@@ -193,10 +191,6 @@ class NativeSession(SolverSession):
 
     def solve(self, assumptions=(), conflict_budget: int | None = None,
               timeout: float | None = None) -> SolveOutcome:
-        if conflict_budget is None:
-            conflict_budget = self.config.conflict_budget
-        if timeout is None:
-            timeout = self.config.timeout
         if timeout is not None and timeout <= 0:
             return SolveOutcome(UNKNOWN, None, 0.0)
         assumptions = list(assumptions)
@@ -349,8 +343,6 @@ class DimacsSession(SolverSession):
 
     def solve(self, assumptions=(), conflict_budget: int | None = None,
               timeout: float | None = None) -> SolveOutcome:
-        if timeout is None:
-            timeout = self.config.timeout
         if timeout is not None and timeout <= 0:
             return SolveOutcome(UNKNOWN, None, 0.0)
         assumptions = list(assumptions)

@@ -9,11 +9,9 @@ from functools import cache
 
 from alcfit.benchgen import gen_random
 from alcfit.concepts import Concept, O_ALL, OperatorSet, Signature
-from alcfit.data import (Sample, compute_types, interpretation_signature,
-                         load_facts, merge_blocks)
-from alcfit.encoder import (Cnf, VarMap, decode_model, encode_fitting,
-                            encode_semantics_base, encode_semantics_typed,
-                            encode_syntax, encode_templates)
+from alcfit.data import Sample, load_facts, merge_blocks
+from alcfit.encoder import Cnf, VarMap, decode_model, encode_fitting
+from alcfit.fitter import encode_size
 from alcfit.oracle import _MaskSpace
 from alcfit.solver import make_session
 
@@ -37,18 +35,10 @@ def contradictory() -> Sample:
 def build_encoding(sample: Sample, k: int, ops: OperatorSet, *,
                    typed: bool = True, templates: bool = True,
                    bans: bool | None = None) -> tuple[Cnf, VarMap]:
-    sigma = interpretation_signature(sample.interp)
-    cnf, vm = encode_syntax(k, ops, sigma)
-    vm.bind(sample.interp)
-    if typed:
-        cnf.absorb(encode_semantics_typed(k, sample.interp, vm,
-                                          compute_types(sample.interp)))
-    else:
-        cnf.absorb(encode_semantics_base(k, sample.interp, vm))
-    if templates:
-        cnf.absorb(encode_templates(k, vm, bans=bans))
-    cnf.absorb(encode_fitting(sample, vm))
-    return cnf, vm
+    """The size-k encoding with the fitting units."""
+    cnf, vm = encode_size(sample, k, ops, typed=typed, templates=templates,
+                          bans=bans)
+    return cnf.absorb(encode_fitting(sample, vm)), vm
 
 
 def solve_encoding(cnf: Cnf, vm: VarMap,

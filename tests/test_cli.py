@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
 import sys
@@ -7,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import alcfit.cli
+import alcfit.fitter
 from alcfit.cli import main
 from alcfit.data import load_sample
+from alcfit.encoder import Cnf
 
 DIMACS_SOLVER = (f"{sys.executable} "
                  f"{Path(__file__).parent.parent / 'scripts' / 'dimacs_solve.py'}")
@@ -111,7 +115,15 @@ def test_usage_errors(fig1_manifest):
     for argv in ([], ["frobnicate"], ["fit"],
                  ["fit", str(fig1_manifest), "--bogus"],
                  ["fit", str(fig1_manifest), "--ops", "maybe"],
-                 ["fit", str(fig1_manifest), "--mode", "fast"]):
+                 ["fit", str(fig1_manifest), "--mode", "fast"],
+                 # --folds writes no report
+                 ["fit", str(fig1_manifest), "--folds", "2", "--report",
+                  "r.json"],
+                 # encode takes no solve flags
+                 ["encode", str(fig1_manifest), "--timeout", "1"],
+                 ["encode", str(fig1_manifest), "--mode", "approx"],
+                 ["encode", str(fig1_manifest), "--seed", "1"],
+                 ["encode", str(fig1_manifest), "--backend", "native"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64
@@ -222,6 +234,36 @@ def test_encode_stats(fig1_manifest, tmp_path, capsys):
         main(["encode", str(fig1_manifest), "--max-size", "4",
               "--stats", "--emit-dimacs", str(out)])
     assert exc.value.code == 64
+
+
+def _perfbench_tracer():
+    path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_records_every_layer(fig1_manifest, capsys):
+    # the benchmark's per-layer metrics come from spans around the names
+    # alcfit.cli and alcfit.fitter look up; a refactor that calls a layer
+    # some other way would silently drop its metrics
+    tracer = _perfbench_tracer().Tracer()
+    tracer.install(alcfit.cli, alcfit.fitter, Cnf)
+    try:
+        tracer.begin_op()
+        assert main(["encode", str(fig1_manifest), "--max-size", "4",
+                     "--stats"]) == 0
+        tracer.begin_op()
+        assert main(["fit", str(fig1_manifest), "--max-size", "4"]) == 0
+    finally:
+        tracer.uninstall()
+    layers = {"data.compute_types", "encoder.syntax", "encoder.semantics",
+              "encoder.templates", "encoder.fitting"}
+    encode, fit = ({span.name for span in tracer.spans if span.op == op}
+                   for op in (1, 2))
+    assert layers <= encode
+    assert layers | {"solver.solve"} <= fit
 
 
 def test_gen_families(tmp_path, capsys):

@@ -15,11 +15,12 @@ from alcfit.encoder import (EncodingError, VarMap, decode_model,
                             encode_semantics_base, encode_semantics_typed,
                             encode_syntax, encode_templates,
                             pattern_bans_active)
-from alcfit.oracle import enumerate_concepts
+from alcfit.fitter import encode_size
+from alcfit.oracle import enumerate_concepts, exact_fit_profile
 from alcfit.solver import make_session
 
 from helpers import (build_encoding, corpus_samples, encoding_sat, fig1,
-                     solve_encoding)
+                     quantifier_fragments, solve_encoding)
 
 EL = frozenset({"exists", "and"})
 
@@ -63,6 +64,19 @@ def test_typed_and_base_agree_and_decode(fig1_sample):
                     assert size(concept) == k
                     assert fits(concept, sample)
             assert results[True] == results[False], (sample, k)
+
+
+def test_encodings_agree_with_oracle_on_seeded_grid():
+    # 10 random samples x 24 quantifier fragments x k <= 5: the encoding
+    # with its default refinements (pattern bans engage on full ALC) is
+    # satisfiable exactly at the sizes where the brute-force oracle fits
+    for seed in range(10):
+        sample = gen_random(num_elements=3 + seed % 4, num_concept_names=2,
+                            num_role_names=1 + seed % 2, edge_density=0.35,
+                            num_pos=1 + seed % 2, num_neg=1, seed=seed)
+        for ops in quantifier_fragments():
+            got = tuple(encoding_sat(sample, k, ops) for k in range(1, 6))
+            assert got == exact_fit_profile(sample, ops, 5), (seed, ops)
 
 
 def test_root_extension_row_matches_evaluation(fig1_sample):
@@ -125,14 +139,7 @@ def test_every_z_row_matches_evaluation(seed, elements, names, roles,
     sample = gen_random(elements, names, roles, density,
                         (elements + 1) // 2, elements // 2, seed)
     interp = sample.interp
-    cnf, vm = encode_syntax(k, ops, interpretation_signature(interp))
-    vm.bind(interp)
-    if typed:
-        cnf.absorb(encode_semantics_typed(k, interp, vm,
-                                          compute_types(interp)))
-    else:
-        cnf.absorb(encode_semantics_base(k, interp, vm))
-    cnf.absorb(encode_templates(k, vm))
+    cnf, vm = encode_size(sample, k, ops, typed=typed)
     # with the fitting units if some size-k concept fits, else without
     for fitting in (encode_fitting(sample, vm), None):
         session = make_session()
@@ -282,11 +289,7 @@ def test_fitting_is_three_units(fig1_sample):
 def test_coverage_boundary_at_k1(fig1_sample):
     # only size-1 concept reaching coverage 2 is top; nothing reaches 3
     for m, expected in ((2, "sat"), (3, "unsat")):
-        sigma = interpretation_signature(fig1_sample.interp)
-        cnf, vm = encode_syntax(1, O_ALL, sigma)
-        vm.bind(fig1_sample.interp)
-        cnf.absorb(encode_semantics_typed(1, fig1_sample.interp, vm,
-                                          compute_types(fig1_sample.interp)))
+        cnf, vm = encode_size(fig1_sample, 1)
         cnf.absorb(encode_coverage_at_least(fig1_sample, m, vm))
         session = make_session()
         try:
@@ -297,11 +300,7 @@ def test_coverage_boundary_at_k1(fig1_sample):
 
 
 def test_coverage_raises_incrementally_in_one_session(contra_sample):
-    sigma = Signature(frozenset(), frozenset())
-    cnf, vm = encode_syntax(1, O_ALL, sigma)
-    vm.bind(contra_sample.interp)
-    cnf.absorb(encode_semantics_typed(1, contra_sample.interp, vm,
-                                      compute_types(contra_sample.interp)))
+    cnf, vm = encode_size(contra_sample, 1)
     session = make_session()
     try:
         session.add_cnf(cnf)

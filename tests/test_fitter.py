@@ -139,8 +139,6 @@ def test_config_validation():
         FitConfig(k_max=0)
     with pytest.raises(ValueError):
         FitConfig(mode="anytime")
-    with pytest.raises(ValueError):
-        FitConfig(k_horizon=0)
 
 
 def test_subprocess_backend_end_to_end(fig1_sample):
