@@ -68,7 +68,9 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("exact", "approx"), default="exact")
     p.add_argument("--timeout", type=float, default=None, metavar="S",
                    help="wall-clock budget in seconds")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="solver seed; accepted but not yet passed to any "
+                   "solver")
     p.add_argument("--backend", default="native",
                    help='"native" or "dimacs:<command>"')
 
@@ -162,6 +164,8 @@ def _result_json(result: FitResult) -> dict:
 def _print_fit(result: FitResult, sample: Sample) -> None:
     for stat in result.per_k:
         extra = "" if stat.best_m is None else f" best-coverage={stat.best_m}"
+        if stat.conflicts is not None:
+            extra += f" conflicts={stat.conflicts}"
         print(f"k={stat.k} {stat.status} vars={stat.num_vars} "
               f"clauses={stat.num_clauses} time={stat.time:.3f}s{extra}")
     print(f"status: {result.status}")

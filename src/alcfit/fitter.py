@@ -1,17 +1,19 @@
 """Minimum-size fitting by iterative deepening over exact-size encodings,
 plus the anytime coverage-maximization variant.
 
-Exact mode solves "some size-k concept fits" for k = 1, 2, ...; the first
-satisfiable k is minimal by construction.  Approximate mode keeps a coverage
-target m across the k loop: within one k (and one incremental solver
-session) it repeatedly asks for a size-k concept covering at least m
-examples, records each witness, and raises m past the witness's true
-coverage; when size k cannot reach m it moves on to k+1 with a fresh
-encoding.  Interrupting at any point leaves the best recorded concept.
+Both modes are one loop (_fit).  For k = 1, 2, ..., k_max it takes the
+size-k encoding from encode_size, the one place that assembles syntax,
+semantics and symmetry-breaking clauses, opens one solver session on it and
+adds the mode's goal:
 
-Both modes take each size-k encoding from encode_size, the one place that
-assembles syntax, semantics and symmetry-breaking clauses, and add their
-goal to it: the fitting units, or the coverage counter.
+- exact mode adds the fitting units once; the first satisfiable k is
+  minimal by construction, and an unsatisfiable k moves on to k+1;
+- approximate mode adds a counter for "covers at least m examples", with m
+  one past the best coverage found so far (carried across k).  Each witness
+  raises m, and the same session is asked again; when size k cannot reach
+  m, or its share of the budget (1/K_HORIZON of what is left) is spent, the
+  loop moves on to k+1.  Interrupting at any point leaves the best recorded
+  concept.
 
 Every concept handed back has been re-checked against the sample by direct
 evaluation; a mismatch between solver model and evaluation aborts the run
@@ -21,7 +23,7 @@ instead of returning a wrong answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .concepts import (Concept, O_ALL, OperatorSet, Top, evaluate,
                        in_fragment, size)
@@ -71,7 +73,10 @@ class KStat:
     num_clauses: int
     status: str         # solver status of the last call at this k
     time: float
-    best_m: int | None = None
+    best_m: int | None = None       # approximate mode: best coverage so far
+    # summed over this k's solves; None where none was counted (the DIMACS
+    # backend, or a solve skipped because its budget was already spent)
+    conflicts: int | None = None
 
 
 @dataclass(frozen=True)
@@ -150,135 +155,88 @@ def _checked_decode(model, vm: VarMap, sample: Sample, cfg: FitConfig,
     return concept, report
 
 
-@dataclass
-class _Run:
-    sample: Sample
-    cfg: FitConfig
-    deadline: float | None
-    types: TypeTable | None
-    stats: list[KStat] = field(default_factory=list)
-
-    def remaining(self) -> float | None:
-        if self.deadline is None:
-            return None
-        return self.deadline - time.monotonic()
-
-    def out_of_time(self) -> bool:
-        left = self.remaining()
-        return left is not None and left <= 0
-
-    def session(self):
-        return make_session(SolverConfig(backend=self.cfg.backend,
-                                         seed=self.cfg.seed))
+def _seconds_left(*deadlines: float | None) -> float | None:
+    """Seconds until the earliest given deadline; None when there is none."""
+    ends = [d for d in deadlines if d is not None]
+    return min(ends) - time.monotonic() if ends else None
 
 
-def _prepare(sample: Sample, cfg: FitConfig, mode: str) -> _Run:
+def _expired(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() >= deadline
+
+
+def _result(status: str, best: Concept | None, coverage: int,
+            stats: list[KStat], history: list[int]) -> FitResult:
+    if best is None:
+        return FitResult(status, None, None, None, tuple(stats),
+                         tuple(history))
+    return FitResult(status, best, coverage, size(best), tuple(stats),
+                     tuple(history))
+
+
+def _fit(sample: Sample, cfg: FitConfig, mode: str) -> FitResult:
+    """The k loop of both modes; see the module docstring."""
     if cfg.mode != mode:
         raise ValueError(f"configuration mode {cfg.mode!r}; expected {mode!r}")
+    total = sample.num_examples
+    if total == 0:
+        return FitResult(FITTED, Top(), coverage=0, size=1)
+    exact = mode == "exact"
     deadline = (None if cfg.budget is None
                 else time.monotonic() + cfg.budget)
     types = compute_types(sample.interp) if cfg.typed else None
-    return _Run(sample, cfg, deadline, types)
-
-
-def _trivial_result(sample: Sample) -> FitResult | None:
-    if sample.positives or sample.negatives:
-        return None
-    return FitResult(FITTED, Top(), coverage=0, size=1)
+    stats: list[KStat] = []
+    history: list[int] = []
+    best: Concept | None = None
+    best_cov = 0
+    for k in range(1, cfg.k_max + 1):
+        if _expired(deadline):
+            return _result(TIMED_OUT, best, best_cov, stats, history)
+        left = _seconds_left(deadline)
+        slice_end = (None if exact or left is None
+                     else time.monotonic() + left / K_HORIZON)
+        cnf, vm = encode_size(sample, k, cfg.ops, typed=cfg.typed,
+                              templates=cfg.templates, types=types)
+        outs = []
+        with make_session(SolverConfig(backend=cfg.backend,
+                                       seed=cfg.seed)) as sess:
+            sess.add_cnf(cnf)
+            if exact:
+                sess.add_cnf(encode_fitting(sample, vm))
+            # exact: one pass; approximate: raise m past each witness
+            while best_cov < total:
+                m = total if exact else best_cov + 1
+                if not exact:
+                    sess.add_cnf(encode_coverage_at_least(sample, m, vm))
+                out = sess.solve(timeout=_seconds_left(deadline, slice_end))
+                outs.append(out)
+                if not out.is_sat:
+                    break
+                best, report = _checked_decode(out.model, vm, sample, cfg, m)
+                best_cov = report.coverage
+                history.append(best_cov)
+            counted = [o.conflicts for o in outs if o.conflicts is not None]
+            stats.append(KStat(k, sess.num_vars, sess.num_clauses,
+                               out.status, sum(o.time for o in outs),
+                               None if exact else best_cov,
+                               sum(counted) if counted else None))
+        if best_cov == total:
+            return _result(FITTED, best, best_cov, stats, history)
+        # unsat: size k cannot reach m; unknown: the budget or slice is spent
+        if not out.is_unsat and (exact or _expired(deadline)):
+            return _result(TIMED_OUT, best, best_cov, stats, history)
+    status = NO_FIT_WITHIN_BOUND if best is None else APPROXIMATE
+    if not exact and _expired(deadline):
+        status = TIMED_OUT
+    return _result(status, best, best_cov, stats, history)
 
 
 def bounded_fit(sample: Sample, cfg: FitConfig = FitConfig()) -> FitResult:
     """Smallest-size exact fitting within cfg.k_max, or why there is none."""
-    trivial = _trivial_result(sample)
-    if trivial is not None:
-        return trivial
-    run = _prepare(sample, cfg, "exact")
-    total = sample.num_examples
-    for k in range(1, cfg.k_max + 1):
-        if run.out_of_time():
-            return FitResult(TIMED_OUT, None, None, None, tuple(run.stats))
-        cnf, vm = encode_size(sample, k, cfg.ops, typed=cfg.typed,
-                              templates=cfg.templates, types=run.types)
-        with run.session() as sess:
-            sess.add_cnf(cnf)
-            sess.add_cnf(encode_fitting(sample, vm))
-            out = sess.solve(timeout=run.remaining())
-            run.stats.append(KStat(k, sess.num_vars, sess.num_clauses,
-                                   out.status, out.time))
-            if out.is_sat:
-                concept, report = _checked_decode(
-                    out.model, vm, sample, cfg, total)
-                return FitResult(FITTED, concept, report.coverage, k,
-                                 tuple(run.stats), (report.coverage,))
-            if not out.is_unsat:
-                return FitResult(TIMED_OUT, None, None, None,
-                                 tuple(run.stats))
-    return FitResult(NO_FIT_WITHIN_BOUND, None, None, None, tuple(run.stats))
+    return _fit(sample, cfg, "exact")
 
 
 def approx_fit(sample: Sample, cfg: FitConfig = FitConfig(mode="approximate"),
                ) -> FitResult:
     """Anytime coverage maximization; see the module docstring."""
-    trivial = _trivial_result(sample)
-    if trivial is not None:
-        return trivial
-    run = _prepare(sample, cfg, "approximate")
-    total = sample.num_examples
-    m = 1
-    best: Concept | None = None
-    best_cov = 0
-    history: list[int] = []
-
-    def wrap_up() -> FitResult:
-        status = TIMED_OUT if run.out_of_time() else APPROXIMATE
-        if best is None:
-            status = TIMED_OUT if run.out_of_time() else NO_FIT_WITHIN_BOUND
-            return FitResult(status, None, None, None, tuple(run.stats),
-                             tuple(history))
-        return FitResult(status, best, best_cov, size(best),
-                         tuple(run.stats), tuple(history))
-
-    for k in range(1, cfg.k_max + 1):
-        if run.out_of_time():
-            return wrap_up()
-        left = run.remaining()
-        slice_deadline = (None if left is None
-                          else time.monotonic() + left / K_HORIZON)
-        cnf, vm = encode_size(sample, k, cfg.ops, typed=cfg.typed,
-                              templates=cfg.templates, types=run.types)
-        spent = 0.0
-        last_status = "none"
-        with run.session() as sess:
-            sess.add_cnf(cnf)
-            while True:
-                if run.out_of_time():
-                    run.stats.append(KStat(k, sess.num_vars,
-                                           sess.num_clauses, last_status,
-                                           spent, best_cov))
-                    return wrap_up()
-                sess.add_cnf(encode_coverage_at_least(sample, m, vm))
-                budgets = [b for b in (run.remaining(),
-                                       None if slice_deadline is None else
-                                       slice_deadline - time.monotonic())
-                           if b is not None]
-                out = sess.solve(timeout=min(budgets) if budgets else None)
-                spent += out.time
-                last_status = out.status
-                if out.is_sat:
-                    concept, report = _checked_decode(
-                        out.model, vm, sample, cfg, m)
-                    best, best_cov = concept, report.coverage
-                    history.append(report.coverage)
-                    if best_cov == total:
-                        run.stats.append(KStat(k, sess.num_vars,
-                                               sess.num_clauses, out.status,
-                                               spent, best_cov))
-                        return FitResult(FITTED, best, best_cov, size(best),
-                                         tuple(run.stats), tuple(history))
-                    m = best_cov + 1
-                    continue
-                # unsat: size k cannot reach m; unknown: slice expired
-                run.stats.append(KStat(k, sess.num_vars, sess.num_clauses,
-                                       out.status, spent, best_cov))
-                break
-    return wrap_up()
+    return _fit(sample, cfg, "approximate")

@@ -7,7 +7,7 @@ bundled build is the built-in CDCL solver of ``native/cdcl``; a CaDiCaL
 build from ``native/satbridge`` exports the same ABI and is used instead
 where its crate resolves.  ``NativeSession.signature()`` names the one
 loaded.  Both are deterministic for a fixed clause sequence; the configured
-seed is advisory and recorded for reporting only.
+seed reaches no solver yet, so the search is fixed by the clauses alone.
 
 Budgets are cooperative: a conflict budget or wall-clock timeout makes the
 backend give up and report "unknown", it is never killed mid-solve.  A
@@ -136,8 +136,6 @@ def _load_library() -> ctypes.CDLL:
         ctypes.c_void_p, ctypes.POINTER(ctypes.c_int32), ctypes.c_size_t,
         ctypes.c_int64, ctypes.c_double]
     lib.satbridge_solve.restype = ctypes.c_int32
-    lib.satbridge_value.argtypes = [ctypes.c_void_p, ctypes.c_int32]
-    lib.satbridge_value.restype = ctypes.c_int32
     lib.satbridge_model.argtypes = [
         ctypes.c_void_p, ctypes.POINTER(ctypes.c_int8), ctypes.c_size_t]
     lib.satbridge_model.restype = None

@@ -1,6 +1,6 @@
 """Shared test machinery: canonical tiny samples, encoding builders, the
-seeded random corpus, fused fragment queries, and a mask-closure evaluator
-for depth-bounded expressiveness checks."""
+seeded random corpus, and a mask-closure evaluator for depth-bounded
+expressiveness checks."""
 
 from __future__ import annotations
 
@@ -73,28 +73,6 @@ def fragment_assumptions(vm: VarMap, ops: OperatorSet) -> list[int]:
             if op is not None and op not in ops:
                 lits.append(-vm.x(i, lab))
     return lits
-
-
-class FusedQuery:
-    """One full-alphabet encoding per (sample, k), queried per fragment via
-    assumptions.  Pattern bans are disabled: they are only sound for full
-    ALC, and the same clauses serve all 24 fragments here."""
-
-    def __init__(self, sample: Sample, k: int, *, typed: bool = True,
-                 templates: bool = True):
-        cnf, vm = build_encoding(sample, k, O_ALL, typed=typed,
-                                 templates=templates, bans=False)
-        self.vm = vm
-        self.session = make_session()
-        self.session.add_cnf(cnf)
-
-    def sat(self, ops: OperatorSet) -> bool:
-        out = self.session.solve(
-            assumptions=fragment_assumptions(self.vm, ops))
-        return out.status == "sat"
-
-    def close(self) -> None:
-        self.session.close()
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ def test_fit_running_example(fig1_manifest, capsys):
     assert "status: fitted" in out
     assert "size: 4" in out
     assert "coverage: 3/3" in out
-    assert re.search(r"k=1 unsat vars=\d+ clauses=\d+ time=", out)
+    assert re.search(r"k=1 unsat vars=\d+ clauses=\d+ time=\S+ "
+                     r"conflicts=\d+\n", out)
     assert re.search(r"k=4 sat", out)
 
 
@@ -76,8 +77,11 @@ def test_fit_report_sidecar(fig1_manifest, tmp_path, capsys):
     assert payload["coverage"] == 3
     assert isinstance(payload["concept"], str)
     assert len(payload["per_k"]) == 4
-    assert {"k", "num_vars", "num_clauses", "status", "time", "best_m"} \
-        <= set(payload["per_k"][0])
+    assert {"k", "num_vars", "num_clauses", "status", "time", "best_m",
+            "conflicts"} <= set(payload["per_k"][0])
+    # the native backend counts the conflicts of every solve
+    assert all(type(row["conflicts"]) is int and row["conflicts"] >= 0
+               for row in payload["per_k"])
 
 
 def test_fit_encoding_toggles(fig1_manifest, capsys):
@@ -256,14 +260,19 @@ def test_benchmark_tracer_records_every_layer(fig1_manifest, capsys):
                      "--stats"]) == 0
         tracer.begin_op()
         assert main(["fit", str(fig1_manifest), "--max-size", "4"]) == 0
+        tracer.begin_op()
+        assert main(["fit", str(fig1_manifest), "--mode", "approx",
+                     "--max-size", "4"]) == 0
     finally:
         tracer.uninstall()
     layers = {"data.compute_types", "encoder.syntax", "encoder.semantics",
               "encoder.templates", "encoder.fitting"}
-    encode, fit = ({span.name for span in tracer.spans if span.op == op}
-                   for op in (1, 2))
+    encode, fit, approx = ({span.name for span in tracer.spans
+                            if span.op == op} for op in (1, 2, 3))
     assert layers <= encode
-    assert layers | {"solver.solve"} <= fit
+    assert layers | {"solver.solve", "fitter.bounded_fit"} <= fit
+    assert {"encoder.coverage", "solver.solve", "encoder.decode",
+            "fitter.verify"} <= approx
 
 
 def test_gen_families(tmp_path, capsys):

@@ -12,6 +12,9 @@ from alcfit.data import Sample, load_facts
 from alcfit.fitter import (APPROXIMATE, FITTED, NO_FIT_WITHIN_BOUND,
                            TIMED_OUT, FitConfig, approx_fit, bounded_fit,
                            verify)
+from alcfit.oracle import max_coverage
+
+from helpers import corpus_samples
 
 EL = frozenset({"exists", "and"})
 
@@ -83,6 +86,20 @@ def test_approx_coverage_carries_over_k(contra_sample):
     assert ms and all(m >= ms[0] for m in ms)
 
 
+def test_exact_and_approx_agree_on_corpus():
+    # both modes run one k loop: where an exact fit exists approx_fit must
+    # stop there, elsewhere it must reach the oracle's best coverage
+    for sample in corpus_samples()[:30]:
+        exact = bounded_fit(sample, FitConfig(k_max=5))
+        approx = approx_fit(sample, FitConfig(mode="approximate", k_max=5))
+        if exact.status == FITTED:
+            assert (approx.status, approx.size) == (FITTED, exact.size)
+        else:
+            assert exact.status == NO_FIT_WITHIN_BOUND
+            best, _ = max_coverage(sample, O_ALL, 5)
+            assert (approx.status, approx.coverage) == (APPROXIMATE, best)
+
+
 def test_verify_report_examples(fig1_sample):
     good = verify(parse_concept("forall r.(A or B)"), fig1_sample)
     assert good.fits and good.coverage == 3 and good.misclassified == ()
@@ -148,3 +165,5 @@ def test_subprocess_backend_end_to_end(fig1_sample):
     result = bounded_fit(fig1_sample, cfg)
     assert result.status == FITTED
     assert result.size == 4
+    # the DIMACS backend does not count conflicts
+    assert all(s.conflicts is None for s in result.per_k)
