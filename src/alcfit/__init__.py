@@ -13,10 +13,11 @@ from .concepts import (And, Bot, Concept, ConceptError, Exists, Forall, Name,
                        format_operators, in_fragment, parse_concept,
                        parse_operators, quantifier_depth, render_concept,
                        signature_of, size)
-from .data import (DataError, Example, Interpretation, Sample, TypeTable,
-                   compute_types, dualize_interpretation, dualize_sample,
-                   interpretation_signature, load_facts, load_sample,
-                   merge_blocks, save_facts, save_sample)
+from .data import (DataError, Example, Interpretation, Quotient, Sample,
+                   TypeTable, compute_types, dualize_interpretation,
+                   dualize_sample, interpretation_signature, load_facts,
+                   load_sample, merge_blocks, quotient, save_facts,
+                   save_sample)
 from .encoder import (Cnf, EncodingError, VarMap, decode_model,
                       encode_coverage_at_least, encode_fitting,
                       encode_semantics_base, encode_semantics_typed,

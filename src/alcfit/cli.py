@@ -148,9 +148,12 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # fit
 
-def _result_json(result: FitResult) -> dict:
+def _result_json(result: FitResult, sample: Sample) -> dict:
     payload = {
         "status": result.status,
+        "reason": result.reason,
+        "elements": len(sample.interp.domain),
+        "classes": result.classes,
         "concept": (render_concept(result.concept)
                     if result.concept is not None else None),
         "size": result.size,
@@ -169,6 +172,8 @@ def _print_fit(result: FitResult, sample: Sample) -> None:
         print(f"k={stat.k} {stat.status} vars={stat.num_vars} "
               f"clauses={stat.num_clauses} time={stat.time:.3f}s{extra}")
     print(f"status: {result.status}")
+    if result.reason is not None:
+        print(f"reason: {result.reason}")
     if result.concept is not None:
         print(f"concept: {render_concept(result.concept)}")
         print(f"size: {result.size}")
@@ -189,7 +194,7 @@ def cmd_fit(args) -> int:
     _print_fit(result, sample)
     if args.report:
         Path(args.report).write_text(
-            json.dumps(_result_json(result), indent=2) + "\n",
+            json.dumps(_result_json(result, sample), indent=2) + "\n",
             encoding="utf-8")
     return _STATUS_EXIT[result.status]
 
@@ -251,6 +256,8 @@ def cmd_encode(args) -> int:
                           count_only=args.stats)
     cnf.absorb(encode_fitting(sample, vm))
     if args.stats:
+        print(f"elements: {len(sample.interp.domain)}")
+        print(f"classes: {len(vm.interp.domain)}")
         print(f"vars: {vm.num_vars}")
         print(f"clauses: {cnf.num_clauses}")
         for tag in sorted(cnf.groups):

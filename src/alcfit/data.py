@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from .concepts import Signature
@@ -32,7 +33,7 @@ __all__ = [
     "DataError", "Interpretation", "Example", "Sample", "TypeTable",
     "load_facts", "save_facts", "load_sample", "save_sample", "merge_blocks",
     "dualize_interpretation", "dualize_sample", "compute_types",
-    "interpretation_signature",
+    "interpretation_signature", "Quotient", "quotient",
 ]
 
 
@@ -163,6 +164,22 @@ class Sample:
 
 
 @dataclass(frozen=True, eq=False)
+class Quotient:
+    """A sample's interpretation cut down to what a concept can tell apart.
+
+    interp holds one element per bisimulation class of the elements an
+    example reaches: the class's first element in source domain order,
+    under its own name.  row maps every reachable source element to its
+    class's index in interp.domain.  When nothing is dropped or merged,
+    interp is the source itself and row its index.
+    """
+
+    source: Interpretation
+    interp: Interpretation
+    row: dict[str, int] = field(repr=False)
+
+
+@dataclass(frozen=True, eq=False)
 class TypeTable:
     """Distinct element types (sets of concept names) with a per-element index.
 
@@ -194,12 +211,17 @@ def load_facts(text: str) -> Interpretation:
     concept_ext: dict[str, set[str]] = {}
     role_ext: dict[str, set[tuple[str, str]]] = {}
 
+    # names that passed their check, per kind: no role name is a concept name
+    roles_seen: set[str] = set()
+    names_seen: set[str] = set()
+
     def touch(elem: str, lineno: int) -> None:
+        if elem in seen:
+            return
         if not _IDENT_RE.match(elem) and not _PREFIXED_RE.match(elem):
             raise DataError(f"line {lineno}: bad element identifier {elem!r}")
-        if elem not in seen:
-            seen.add(elem)
-            domain.append(elem)
+        seen.add(elem)
+        domain.append(elem)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -209,13 +231,15 @@ def load_facts(text: str) -> Interpretation:
             elem = line[len("element "):].strip()
             touch(elem, lineno)
             continue
-        m = _ROLE_FACT_RE.match(line)
+        m = _ROLE_FACT_RE.match(line) if "," in line else None
         if m:
             role, x, y = m.groups()
-            if not role[0].islower():
-                raise DataError(
-                    f"line {lineno}: role names start lowercase: {role!r}")
-            _check_ident(role, "role", lineno)
+            if role not in roles_seen:
+                if not role[0].islower():
+                    raise DataError(
+                        f"line {lineno}: role names start lowercase: {role!r}")
+                _check_ident(role, "role", lineno)
+                roles_seen.add(role)
             touch(x, lineno)
             touch(y, lineno)
             role_ext.setdefault(role, set()).add((x, y))
@@ -223,10 +247,12 @@ def load_facts(text: str) -> Interpretation:
         m = _CONCEPT_FACT_RE.match(line)
         if m:
             name, elem = m.groups()
-            if not name[0].isupper():
-                raise DataError(
-                    f"line {lineno}: concept names start uppercase: {name!r}")
-            _check_ident(name, "concept", lineno)
+            if name not in names_seen:
+                if not name[0].isupper():
+                    raise DataError(f"line {lineno}: concept names start "
+                                    f"uppercase: {name!r}")
+                _check_ident(name, "concept", lineno)
+                names_seen.add(name)
             touch(elem, lineno)
             concept_ext.setdefault(name, set()).add(elem)
             continue
@@ -392,3 +418,88 @@ def compute_types(interp: Interpretation) -> TypeTable:
     position = {t: i for i, t in enumerate(types)}
     type_of = {e: position[frozenset(names)] for e, names in membership.items()}
     return TypeTable(types, type_of)
+
+
+def quotient(sample: Sample) -> Quotient:
+    """The sample's interpretation restricted to the elements its examples
+    reach, with bisimilar elements merged.
+
+    A concept evaluated at an example reads only elements the example
+    reaches, and no ALC concept tells bisimilar elements apart, so a
+    concept fits the sample exactly when it fits on the quotient.  The
+    classes are those of the coarsest bisimulation over every concept name
+    and role, found by signature refinement (Paige & Tarjan, SIAM J.
+    Comput. 1987): start from each element's names, then split every class
+    by its members' sets of (role, successor class) until a round splits
+    nothing or every class is a singleton.  A sample without examples
+    reaches nothing and is returned whole.
+    """
+    interp = sample.interp
+    roles = tuple(interp.role_ext)
+    succ = [interp.successors(role) for role in roles]
+    none: frozenset[str] = frozenset()
+    reached = {*sample.positives, *sample.negatives}
+    if not reached:
+        return Quotient(interp, interp, interp.index)
+    frontier = reached  # breadth first over every role
+    while frontier:
+        step: set[str] = set()
+        for by_source in succ:
+            step.update(*map(by_source.get, frontier, repeat(none)))
+        frontier = step - reached
+        reached |= frontier
+    kept = (interp.domain if len(reached) == len(interp.domain)
+            else sorted(reached, key=interp.index.__getitem__))
+
+    names: dict[str, list[str]] = {e: [] for e in kept}
+    for name, ext in interp.concept_ext.items():  # sorted by name
+        for e in ext & reached:
+            names[e].append(name)
+    # class ids per kept element: first by names, then by (own class,
+    # successor classes per role) until a round splits nothing
+    ids: dict = {}
+    cls = [ids.setdefault(tuple(names[e]), len(ids)) for e in kept]
+    count = len(ids)
+    while count < len(kept):
+        look = dict(zip(kept, cls)).__getitem__
+        outs = [[frozenset(map(look, by_source.get(e, none))) for e in kept]
+                for by_source in succ]
+        ids = {}
+        cls = [ids.setdefault(key, len(ids)) for key in zip(cls, *outs)]
+        if len(ids) == count:
+            break
+        count = len(ids)
+
+    first: dict[int, str] = {}  # class -> its first element
+    for e, c in zip(kept, cls):
+        first.setdefault(c, e)
+    if len(first) == len(interp.domain):
+        return Quotient(interp, interp, interp.index)
+    reps = list(first.values())
+    rank = {c: p for p, c in enumerate(first)}
+    row = {e: rank[c] for e, c in zip(kept, cls)}
+    if len(reps) == len(kept):
+        # nothing merged (the usual case on random graphs): cut the
+        # unreached elements' edges but share the source's pairs and
+        # successor sets, rather than copy them
+        cut = interp.domain_set - reached
+        q_succ = [{x: ys for x, ys in by_source.items() if x in reached}
+                  for by_source in succ]
+        role_ext = {role: interp.role_ext[role].difference(
+                        *[zip(repeat(x), by_source.get(x, none))
+                          for x in cut])
+                    for role, by_source in zip(roles, succ)}
+    else:
+        # bisimilar elements have the same successor classes: read the
+        # representatives' own successors
+        rep_of = {e: first[c] for e, c in zip(kept, cls)}.__getitem__
+        q_succ = [{x: frozenset(map(rep_of, by_source[x]))
+                   for x in reps if x in by_source} for by_source in succ]
+        role_ext = {role: set().union(*map(zip, map(repeat, s), s.values()))
+                    for role, s in zip(roles, q_succ)}
+    rep_set = set(reps)
+    quot = Interpretation(
+        reps, {a: ext & rep_set for a, ext in interp.concept_ext.items()},
+        role_ext)
+    quot._succ.update(zip(roles, q_succ))  # the encoder reads these next
+    return Quotient(interp, quot, row)

@@ -25,6 +25,13 @@ non-decreasing order: the children of node 1 take the indices right after
 it, then those of node 2, and so on, which is level order.  Level order is
 fixed by the tree shape, so each shape keeps exactly one numbering.
 
+The elements a are those of the interpretation bound to the variable map.
+fitter.encode_size binds the sample's bisimulation quotient
+(data.quotient), so there is one z and one c row entry per class of the
+elements an example reaches, named after the class's first element; the
+variable map resolves each example to its class (VarMap.z), and examples
+that share a class keep one literal each.
+
 The label alphabet is {top, bot} + concept names + the operator labels
 permitted by the operator set (quantifier and role fused into one label,
 matching the size measure).
@@ -58,7 +65,7 @@ from operator import mul, neg
 
 from .concepts import (And, Bot, Concept, Exists, Forall, Name, Not, Or,
                        O_ALL, OperatorSet, Signature, Top)
-from .data import Interpretation, Sample, TypeTable
+from .data import Interpretation, Quotient, Sample, TypeTable
 
 __all__ = [
     "EncodingError", "Cnf", "VarMap",
@@ -192,6 +199,8 @@ class VarMap:
         self._y2 = {(i, j): self._alloc(("y2", i, j))
                     for i in range(1, k + 1) for j in range(i + 1, k)}
         self.interp: Interpretation | None = None
+        self.source: Interpretation | None = None
+        self._row: dict[str, int] = {}
         self._z: list[list[int]] = []
         self._c: list[list[int]] = []
         self._xt: list[list[int]] = []
@@ -223,16 +232,22 @@ class VarMap:
     def y2(self, i: int, j: int) -> int:
         return self._y2[(i, j)]
 
-    def bind(self, interp: Interpretation) -> None:
-        """Attach the interpretation and allocate the z rows, plus the child
-        rows of nodes 1..k-1 when the alphabet has a quantifier (first
-        call)."""
+    def bind(self, target: Interpretation | Quotient) -> None:
+        """Attach the interpretation to encode and allocate the z rows, plus
+        the child rows of nodes 1..k-1 when the alphabet has a quantifier
+        (first call).  Given a sample's quotient, the rows are its classes,
+        and z() resolves the source's elements through its row map."""
+        if isinstance(target, Interpretation):
+            target = Quotient(target, target, target.index)
+        interp = target.interp
         if self.interp is not None:
             if self.interp is not interp and self.interp != interp:
                 raise EncodingError("variable map already bound to a "
                                     "different interpretation")
             return
         self.interp = interp
+        self.source = target.source
+        self._row = target.row
         n = len(interp.domain)
         self._z = [[self._alloc(("z", i, interp.domain[e]))
                     for e in range(n)]
@@ -243,9 +258,13 @@ class VarMap:
                        for i in range(1, self.k)]
 
     def z(self, i: int, element: str) -> int:
+        """z[i, row of element]; element belongs to the bound source."""
         if self.interp is None:
             raise EncodingError("no interpretation bound")
-        return self._z[i - 1][self.interp.index[element]]
+        row = self._row.get(element)
+        if row is None:
+            raise EncodingError(f"element {element!r} is not encoded")
+        return self._z[i - 1][row]
 
     def z_row(self, i: int) -> list[int]:
         return self._z[i - 1]
@@ -494,12 +513,14 @@ def _non_name_semantics(cnf: Cnf, vm: VarMap, interp: Interpretation,
                 cnf.add_block(SEM, count, block)
 
 
-def encode_semantics_base(k: int, interp: Interpretation, vm: VarMap,
-                          count_only: bool = False) -> Cnf:
-    """Per-element name semantics: one clause per (node, name, element)."""
+def encode_semantics_base(k: int, interp: Interpretation | Quotient,
+                          vm: VarMap, count_only: bool = False) -> Cnf:
+    """Per-element name semantics: one clause per (node, name, element).
+    Given a quotient, its classes are the elements (VarMap.bind)."""
     if vm.k != k:
         raise EncodingError("variable map built for a different size bound")
     vm.bind(interp)
+    interp = vm.interp
     cnf = Cnf(store=not count_only)
     NAMES = "semantics.names"
     n = len(interp.domain)
@@ -522,15 +543,18 @@ def encode_semantics_base(k: int, interp: Interpretation, vm: VarMap,
     return cnf
 
 
-def encode_semantics_typed(k: int, interp: Interpretation, vm: VarMap,
-                           types: TypeTable, count_only: bool = False) -> Cnf:
+def encode_semantics_typed(k: int, interp: Interpretation | Quotient,
+                           vm: VarMap, types: TypeTable,
+                           count_only: bool = False) -> Cnf:
     """Name semantics through element types: k*|T|*|names| label-to-type
-    clauses plus 2*k*|domain| type-row clauses."""
+    clauses plus 2*k*|domain| type-row clauses.  Given a quotient, its
+    classes are the elements (VarMap.bind) and `types` is its table."""
     if vm.k != k:
         raise EncodingError("variable map built for a different size bound")
+    vm.bind(interp)
+    interp = vm.interp
     if set(types.type_of) != interp.domain_set:
         raise EncodingError("type table does not cover the interpretation")
-    vm.bind(interp)
     vm.ensure_typed(types)
     cnf = Cnf(store=not count_only)
     add = cnf.add
@@ -567,9 +591,12 @@ def encode_semantics_typed(k: int, interp: Interpretation, vm: VarMap,
 # fitting and coverage
 
 def _example_literals(sample: Sample, vm: VarMap) -> list[int]:
-    if vm.interp is None or vm.interp != sample.interp:
+    """One root literal per example, so examples that share a class each
+    keep their own literal (and count once each in the coverage counter)."""
+    if vm.source is None or (vm.source is not sample.interp
+                             and vm.source != sample.interp):
         raise EncodingError("fitting requires the sample's interpretation "
-                            "to be the bound one")
+                            "(or its quotient) to be the bound one")
     return ([vm.z(1, a) for a in sample.positives]
             + [-vm.z(1, b) for b in sample.negatives])
 

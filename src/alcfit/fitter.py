@@ -1,23 +1,28 @@
 """Minimum-size fitting by iterative deepening over exact-size encodings,
 plus the anytime coverage-maximization variant.
 
-Both modes are one loop (_fit).  For k = 1, 2, ..., k_max it takes the
-size-k encoding from encode_size, the one place that assembles syntax,
-semantics and symmetry-breaking clauses, opens one solver session on it and
-adds the mode's goal:
+Both modes are one loop (_fit).  It first takes the sample's bisimulation
+quotient (data.quotient): no concept tells bisimilar elements apart, or
+reads an element no example reaches, so every z row and semantics block is
+built per class of reachable elements, not per domain element.  In exact
+mode a positive and a negative example in one class end the run at once
+(no_fit_within_bound, with the pair as FitResult.reason).  Then, for
+k = 1, 2, ..., k_max, it takes the size-k encoding from encode_size, the
+one place that assembles syntax, semantics and symmetry-breaking clauses,
+opens one solver session on it and adds the mode's goal:
 
 - exact mode adds the fitting units once; the first satisfiable k is
   minimal by construction, and an unsatisfiable k moves on to k+1;
 - approximate mode adds a counter for "covers at least m examples", with m
   one past the best coverage found so far (carried across k).  Each witness
   raises m, and the same session is asked again; when size k cannot reach
-  m, or its share of the budget (1/K_HORIZON of what is left) is spent, the
-  loop moves on to k+1.  Interrupting at any point leaves the best recorded
-  concept.
+  m, or its share of the budget (1/K_HORIZON of what is left once the
+  size-k encoding is built) is spent, the loop moves on to k+1.
+  Interrupting at any point leaves the best recorded concept.
 
-Every concept handed back has been re-checked against the sample by direct
-evaluation; a mismatch between solver model and evaluation aborts the run
-instead of returning a wrong answer.
+Every concept handed back has been re-checked against the original sample
+by direct evaluation; a mismatch between solver model and evaluation aborts
+the run instead of returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from dataclasses import dataclass
 
 from .concepts import (Concept, O_ALL, OperatorSet, Top, evaluate,
                        in_fragment, size)
-from .data import Sample, TypeTable, compute_types, interpretation_signature
+from .data import (Quotient, Sample, TypeTable, compute_types,
+                   interpretation_signature, quotient as sample_quotient)
 from .encoder import (Cnf, EncodingError, VarMap, decode_model,
                       encode_coverage_at_least, encode_fitting,
                       encode_semantics_base, encode_semantics_typed,
@@ -94,34 +100,41 @@ class FitResult:
     size: int | None
     per_k: tuple[KStat, ...] = ()
     coverage_history: tuple[int, ...] = ()
+    classes: int | None = None      # bisimulation classes encoded
+    reason: str | None = None       # why no concept can fit, when known
 
 
 def encode_size(sample: Sample, k: int, ops: OperatorSet = O_ALL, *,
                 typed: bool = True, templates: bool = True,
+                quotient: Quotient | None = None,
                 types: TypeTable | None = None, bans: bool | None = None,
                 count_only: bool = False) -> tuple[Cnf, VarMap]:
     """The size-k encoding of the sample without a goal: syntax trees over
     the fragment's alphabet, the semantics of every node in the sample's
-    interpretation, and (templates) level-order symmetry breaking plus the
+    quotient, and (templates) level-order symmetry breaking plus the
     pattern bans that `bans` selects (None: pattern_bans_active).  Callers
     add encode_fitting or encode_coverage_at_least.
 
-    typed uses the type-table name semantics; `types`, the sample
-    interpretation's table, is computed here when not given.  count_only
-    counts the semantics clauses without building them; the result then
-    cannot be solved or exported.
+    The alphabet comes from the sample's own signature; the z and child
+    rows are per bisimulation class of the reachable elements (`quotient`,
+    computed here when not given), and the variable map resolves each
+    example to its class.  typed uses the type-table name semantics;
+    `types`, the quotient interpretation's table, is computed here when
+    not given.  count_only counts the semantics clauses without building
+    them; the result then cannot be solved or exported.
     """
-    interp = sample.interp
-    cnf, vm = encode_syntax(k, ops, interpretation_signature(interp))
+    if quotient is None:
+        quotient = sample_quotient(sample)
+    cnf, vm = encode_syntax(k, ops, interpretation_signature(sample.interp))
     if count_only:
         cnf = Cnf(store=False).absorb(cnf)
     if typed:
         if types is None:
-            types = compute_types(interp)
-        cnf.absorb(encode_semantics_typed(k, interp, vm, types,
+            types = compute_types(quotient.interp)
+        cnf.absorb(encode_semantics_typed(k, quotient, vm, types,
                                           count_only=count_only))
     else:
-        cnf.absorb(encode_semantics_base(k, interp, vm,
+        cnf.absorb(encode_semantics_base(k, quotient, vm,
                                          count_only=count_only))
     if templates:
         cnf.absorb(encode_templates(k, vm, bans=bans))
@@ -166,12 +179,27 @@ def _expired(deadline: float | None) -> bool:
 
 
 def _result(status: str, best: Concept | None, coverage: int,
-            stats: list[KStat], history: list[int]) -> FitResult:
+            stats: list[KStat], history: list[int],
+            classes: int) -> FitResult:
     if best is None:
         return FitResult(status, None, None, None, tuple(stats),
-                         tuple(history))
+                         tuple(history), classes)
     return FitResult(status, best, coverage, size(best), tuple(stats),
-                     tuple(history))
+                     tuple(history), classes)
+
+
+def _bisimilar_pair(sample: Sample, q: Quotient) -> tuple[str, str] | None:
+    """A positive and a negative example in one class of the quotient, the
+    first such negative with the first positive of its class; None when
+    the classes separate the labels."""
+    first_positive: dict[int, str] = {}
+    for a in sample.positives:
+        first_positive.setdefault(q.row[a], a)
+    for b in sample.negatives:
+        a = first_positive.get(q.row[b])
+        if a is not None:
+            return a, b
+    return None
 
 
 def _fit(sample: Sample, cfg: FitConfig, mode: str) -> FitResult:
@@ -184,19 +212,31 @@ def _fit(sample: Sample, cfg: FitConfig, mode: str) -> FitResult:
     exact = mode == "exact"
     deadline = (None if cfg.budget is None
                 else time.monotonic() + cfg.budget)
-    types = compute_types(sample.interp) if cfg.typed else None
+    q = sample_quotient(sample)
+    classes = len(q.interp.domain)
+    if exact:
+        pair = _bisimilar_pair(sample, q)
+        if pair is not None:
+            return FitResult(
+                NO_FIT_WITHIN_BOUND, None, None, None, classes=classes,
+                reason=(f"positive {pair[0]} and negative {pair[1]} are "
+                        "bisimilar; no concept separates them"))
+    types = compute_types(q.interp) if cfg.typed else None
     stats: list[KStat] = []
     history: list[int] = []
     best: Concept | None = None
     best_cov = 0
     for k in range(1, cfg.k_max + 1):
         if _expired(deadline):
-            return _result(TIMED_OUT, best, best_cov, stats, history)
+            return _result(TIMED_OUT, best, best_cov, stats, history,
+                           classes)
+        cnf, vm = encode_size(sample, k, cfg.ops, typed=cfg.typed,
+                              templates=cfg.templates, quotient=q,
+                              types=types)
+        # the slice is solving time: it starts once the encoding is built
         left = _seconds_left(deadline)
         slice_end = (None if exact or left is None
                      else time.monotonic() + left / K_HORIZON)
-        cnf, vm = encode_size(sample, k, cfg.ops, typed=cfg.typed,
-                              templates=cfg.templates, types=types)
         outs = []
         with make_session(SolverConfig(backend=cfg.backend,
                                        seed=cfg.seed)) as sess:
@@ -221,14 +261,15 @@ def _fit(sample: Sample, cfg: FitConfig, mode: str) -> FitResult:
                                None if exact else best_cov,
                                sum(counted) if counted else None))
         if best_cov == total:
-            return _result(FITTED, best, best_cov, stats, history)
+            return _result(FITTED, best, best_cov, stats, history, classes)
         # unsat: size k cannot reach m; unknown: the budget or slice is spent
         if not out.is_unsat and (exact or _expired(deadline)):
-            return _result(TIMED_OUT, best, best_cov, stats, history)
+            return _result(TIMED_OUT, best, best_cov, stats, history,
+                           classes)
     status = NO_FIT_WITHIN_BOUND if best is None else APPROXIMATE
     if not exact and _expired(deadline):
         status = TIMED_OUT
-    return _result(status, best, best_cov, stats, history)
+    return _result(status, best, best_cov, stats, history, classes)
 
 
 def bounded_fit(sample: Sample, cfg: FitConfig = FitConfig()) -> FitResult:

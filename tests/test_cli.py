@@ -48,6 +48,20 @@ def test_fit_no_fit_within_bound(fig1_manifest, capsys):
     assert "concept:" not in out
 
 
+def test_fit_names_bisimilar_examples(contra_manifest, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code = main(["fit", str(contra_manifest), "--report", str(report)])
+    assert code == 20
+    out = capsys.readouterr().out
+    assert out.startswith("status: no_fit_within_bound\n"
+                          "reason: positive e1 and negative e2 are "
+                          "bisimilar; no concept separates them\n")
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    assert payload["reason"].startswith("positive e1 and negative e2")
+    assert (payload["elements"], payload["classes"]) == (2, 1)
+    assert payload["per_k"] == []
+
+
 def test_fit_approx_on_contradiction(contra_manifest, capsys):
     code = main(["fit", str(contra_manifest), "--mode", "approx",
                  "--max-size", "3"])
@@ -76,6 +90,8 @@ def test_fit_report_sidecar(fig1_manifest, tmp_path, capsys):
     assert payload["size"] == 4
     assert payload["coverage"] == 3
     assert isinstance(payload["concept"], str)
+    assert (payload["elements"], payload["classes"]) == (7, 6)
+    assert payload["reason"] is None
     assert len(payload["per_k"]) == 4
     assert {"k", "num_vars", "num_clauses", "status", "time", "best_m",
             "conflicts"} <= set(payload["per_k"][0])
@@ -224,9 +240,11 @@ def test_encode_stats(fig1_manifest, tmp_path, capsys):
         stats = dict(line.split(": ") for line in lines)
         counts = {key: int(value) for key, value in stats.items()}
         groups = {key: n for key, n in counts.items()
-                  if key not in ("vars", "clauses")}
+                  if key not in ("elements", "classes", "vars", "clauses")}
         assert sum(groups.values()) == counts["clauses"]
-        assert counts["semantics.child"] == 2 * 7 * (4 * 3 // 2)  # 7 elements
+        # the B-leaves x2 and y2 are bisimilar: 7 elements, 6 rows
+        assert (counts["elements"], counts["classes"]) == (7, 6)
+        assert counts["semantics.child"] == 2 * 6 * (4 * 3 // 2)
         if not flags:  # the counts of the DIMACS text of the same encoding
             assert (counts["vars"], counts["clauses"]) == tuple(
                 map(int, header.groups()))
@@ -265,14 +283,17 @@ def test_benchmark_tracer_records_every_layer(fig1_manifest, capsys):
                      "--max-size", "4"]) == 0
     finally:
         tracer.uninstall()
+    # every op types and encodes the sample's quotient through the same
+    # fitter globals
     layers = {"data.compute_types", "encoder.syntax", "encoder.semantics",
-              "encoder.templates", "encoder.fitting"}
+              "encoder.templates"}
     encode, fit, approx = ({span.name for span in tracer.spans
                             if span.op == op} for op in (1, 2, 3))
-    assert layers <= encode
-    assert layers | {"solver.solve", "fitter.bounded_fit"} <= fit
-    assert {"encoder.coverage", "solver.solve", "encoder.decode",
-            "fitter.verify"} <= approx
+    assert layers | {"encoder.fitting"} <= encode
+    assert layers | {"encoder.fitting", "solver.solve",
+                     "fitter.bounded_fit"} <= fit
+    assert layers | {"encoder.coverage", "solver.solve", "encoder.decode",
+                     "fitter.verify"} <= approx
 
 
 def test_gen_families(tmp_path, capsys):

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcfit.benchgen import gen_random
+from alcfit.benchgen import (gen_depth_family, gen_mostgeneral_family,
+                             gen_random)
 from alcfit.concepts import Signature
 from alcfit.data import (DataError, Example, Interpretation, Sample,
                          compute_types, dualize_interpretation,
                          dualize_sample, interpretation_signature, load_facts,
-                         load_sample, merge_blocks, save_facts, save_sample)
+                         load_sample, merge_blocks, quotient, save_facts,
+                         save_sample)
 
-from helpers import FIG1_I
+from helpers import FIG1_I, contradictory, fig1
 
 
 def test_load_facts_first_appearance_order():
@@ -31,6 +33,18 @@ def test_load_facts_element_declarations_and_comments():
 def test_load_facts_rejects_malformed_lines(bad):
     with pytest.raises(DataError):
         load_facts(bad + "\n")
+
+
+def test_load_facts_checks_names_per_kind():
+    # a name is checked once per kind; the error keeps its line number
+    cases = [("A(e)\nA(f)\na(g)\n", "line 3: concept names start uppercase"),
+             ("r(a,b)\nr(b,c)\nr(c)\n", "line 3: concept names start"),
+             ("A(e)\nA(e,f)\n", "line 2: role names start lowercase"),
+             ("A(e)\nr(e,f)\nr(f,1x)\n", "line 3: bad element identifier"),
+             ("r(a,b)\nr(a,b)\nelement 9z\n", "line 3: bad element")]
+    for text, message in cases:
+        with pytest.raises(DataError, match=message):
+            load_facts(text)
 
 
 def test_empty_fact_file_rejected():
@@ -164,3 +178,46 @@ def test_signature_collects_nonempty_extensions(fig1_sample):
     sigma = interpretation_signature(fig1_sample.interp)
     assert sigma.concept_names == frozenset({"A", "B"})
     assert sigma.role_names == frozenset({"r"})
+
+
+# -- bisimulation quotient
+
+def test_quotient_class_counts():
+    cases = [(fig1(), 7, 6), (contradictory(), 2, 1),
+             (gen_depth_family(5), 576, 100),
+             (gen_mostgeneral_family(5), 203, 73)]
+    for sample, elements, classes in cases:
+        q = quotient(sample)
+        assert q.source is sample.interp
+        assert (len(sample.interp.domain), len(q.interp.domain)) == \
+            (elements, classes)
+        assert set(q.row) <= sample.interp.domain_set
+        assert sorted(set(q.row.values())) == list(range(classes))
+
+
+def test_quotient_of_running_example():
+    sample = fig1()
+    q = quotient(sample)
+    # the B-leaves x2 and y2 merge into the class of x2, first in order
+    assert q.interp.domain == ("f1:a1", "f1:x1", "f1:a2", "f1:x2", "f2:b",
+                               "f2:y1")
+    assert q.row["f2:y2"] == q.row["f1:x2"] == 3
+    assert q.interp.concept_ext == {"A": frozenset({"f1:x1"}),
+                                    "B": frozenset({"f1:x2"})}
+    assert q.interp.successors("r")["f2:b"] == frozenset({"f2:y1", "f1:x2"})
+
+
+def test_quotient_drops_unreachable_elements():
+    interp = load_facts("r(a,b)\nr(c,a)\nA(b)\nelement d\n")
+    q = quotient(Sample(interp, ("a",), ()))
+    assert q.interp.domain == ("a", "b")
+    assert set(q.row) == {"a", "b"}
+    # with no examples nothing is read, and nothing is cut
+    assert quotient(Sample(interp, (), ())).interp is interp
+
+
+def test_quotient_keeps_the_interpretation_when_nothing_shrinks():
+    sample = gen_random(2000, 4, 2, 0.002, 10, 10, seed=1)
+    q = quotient(sample)
+    assert q.interp is sample.interp
+    assert q.row is sample.interp.index

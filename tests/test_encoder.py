@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from alcfit.benchgen import gen_random
 from alcfit.concepts import (And, Bot, Exists, Forall, Name, Not, O_ALL, Or,
                              Signature, Top, evaluate, fits, in_fragment, size)
-from alcfit.data import compute_types, interpretation_signature
+from alcfit.data import compute_types, interpretation_signature, quotient
 from alcfit.encoder import (EncodingError, VarMap, decode_model,
                             encode_coverage_at_least, encode_fitting,
                             encode_semantics_base, encode_semantics_typed,
@@ -135,11 +135,13 @@ Z_ROW_OPS = (O_ALL, frozenset({"exists", "and"}),
 def test_every_z_row_matches_evaluation(seed, elements, names, roles,
                                         density, k, typed, ops):
     # every node's z row, not only the root's, must be the extension of
-    # the subconcept rooted there: this checks each semantics block
+    # the subconcept rooted there, in the interpretation that was encoded
+    # (the sample's quotient): this checks each semantics block; and every
+    # reachable element of the sample must read its class's bit
     sample = gen_random(elements, names, roles, density,
                         (elements + 1) // 2, elements // 2, seed)
-    interp = sample.interp
     cnf, vm = encode_size(sample, k, ops, typed=typed)
+    interp = vm.interp
     # with the fitting units if some size-k concept fits, else without
     for fitting in (encode_fitting(sample, vm), None):
         session = make_session()
@@ -157,9 +159,13 @@ def test_every_z_row_matches_evaluation(seed, elements, names, roles,
     assert out.status == "sat"
     sub = _node_concepts(out.model, vm)
     assert sub[0] == decode_model(out.model, vm)
+    reachable = quotient(sample).row
     for i in range(1, k + 1):
-        row = {e for e in interp.domain if out.model[vm.z(i, e)]}
+        row = {e for e, v in zip(interp.domain, vm.z_row(i)) if out.model[v]}
         assert row == evaluate(sub[i - 1], interp), (i, sub[i - 1])
+        ext = evaluate(sub[i - 1], sample.interp)
+        assert all(bool(out.model[vm.z(i, e)]) == (e in ext)
+                   for e in reachable), (i, sub[i - 1])
     # a unary node's child row is its child's z row
     quantified = any(lab[0] in ("exists", "forall") for lab in vm.labels)
     assert bool(vm.c_row(1)) == (quantified and k > 1)

@@ -5,16 +5,19 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import alcfit.fitter
 from alcfit.benchgen import gen_hitting_set_instance, gen_random
 from alcfit.concepts import O_ALL, Top, fits, in_fragment, parse_concept, size
-from alcfit.data import Sample, load_facts
-from alcfit.fitter import (APPROXIMATE, FITTED, NO_FIT_WITHIN_BOUND,
-                           TIMED_OUT, FitConfig, approx_fit, bounded_fit,
-                           verify)
-from alcfit.oracle import max_coverage
+from alcfit.data import Sample, load_facts, merge_blocks
+from alcfit.fitter import (APPROXIMATE, FITTED, K_HORIZON,
+                           NO_FIT_WITHIN_BOUND, TIMED_OUT, FitConfig,
+                           approx_fit, bounded_fit, verify)
+from alcfit.oracle import exact_fit_profile, max_coverage
 
-from helpers import corpus_samples
+from helpers import corpus_samples, quantifier_fragments
 
 EL = frozenset({"exists", "and"})
 
@@ -98,6 +101,78 @@ def test_exact_and_approx_agree_on_corpus():
             assert exact.status == NO_FIT_WITHIN_BOUND
             best, _ = max_coverage(sample, O_ALL, 5)
             assert (approx.status, approx.coverage) == (APPROXIMATE, best)
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 10_000), elements=st.integers(2, 6),
+       names=st.integers(1, 2), roles=st.integers(1, 2),
+       density=st.sampled_from((0.2, 0.4, 0.7)), split=st.booleans(),
+       ops=st.sampled_from(quantifier_fragments()))
+def test_fits_on_the_quotient_match_the_oracle(seed, elements, names, roles,
+                                               density, split, ops):
+    # both modes encode the sample's quotient; their answers must be the
+    # brute-force oracle's on the original sample.  split puts positives
+    # and negatives in two copies of one interpretation, so that the
+    # quotient merges every element with its copy
+    sample = gen_random(elements, names, roles, density,
+                        (elements + 1) // 2, elements // 2, seed)
+    if split:
+        sample = merge_blocks([
+            (sample.interp, list(sample.positives), []),
+            (sample.interp, [], list(sample.negatives))])
+    profile = exact_fit_profile(sample, ops, 5)
+    exact = bounded_fit(sample, FitConfig(ops=ops, k_max=5))
+    minimum = profile.index(True) + 1 if True in profile else None
+    assert exact.size == minimum
+    assert exact.classes <= len(sample.interp.domain)
+    approx = approx_fit(sample, FitConfig(ops=ops, k_max=5,
+                                          mode="approximate"))
+    for stat in approx.per_k:
+        assert stat.best_m == max_coverage(sample, ops, stat.k)[0], stat.k
+
+
+def test_bisimilar_examples_end_an_exact_run(contra_sample, monkeypatch):
+    # e1 and e2 are bisimilar: no concept separates them, at any size, and
+    # the exact run says so without asking the solver
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a solver session was opened")
+    monkeypatch.setattr(alcfit.fitter, "make_session", no_solver)
+    result = bounded_fit(contra_sample, FitConfig(k_max=4))
+    assert result.status == NO_FIT_WITHIN_BOUND
+    assert result.per_k == ()
+    assert result.classes == 1
+    assert result.reason == ("positive e1 and negative e2 are bisimilar; "
+                             "no concept separates them")
+    # approximate mode still counts the examples of the merged class
+    monkeypatch.undo()
+    approx = approx_fit(contra_sample, FitConfig(mode="approximate",
+                                                 k_max=2))
+    assert approx.coverage == 1 and approx.reason is None
+
+
+def test_approx_slice_starts_after_the_encoding(contra_sample, monkeypatch):
+    # each encoding outlasts the slice a k would get if the slice began
+    # before it; every k whose encoding ends before the deadline must
+    # still be solved
+    budget, delay = 1.2, 0.4
+    assert delay > budget / K_HORIZON
+    encode_size = alcfit.fitter.encode_size
+    ends = []
+
+    def slow_encode_size(*args, **kwargs):
+        built = encode_size(*args, **kwargs)
+        time.sleep(delay)
+        ends.append(time.monotonic())
+        return built
+    monkeypatch.setattr(alcfit.fitter, "encode_size", slow_encode_size)
+    start = time.monotonic()
+    result = approx_fit(contra_sample, FitConfig(mode="approximate",
+                                                 k_max=6, budget=budget))
+    assert result.status == TIMED_OUT
+    in_time = [stat for stat, end in zip(result.per_k, ends)
+               if end < start + budget - 0.1]
+    assert len(in_time) >= 2
+    assert all(stat.conflicts is not None for stat in in_time)
 
 
 def test_verify_report_examples(fig1_sample):
