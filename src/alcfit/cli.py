@@ -23,11 +23,12 @@ from .concepts import (ConceptError, O_ALL, dualize_concept, evaluate,
                        format_operators, parse_concept, parse_operators,
                        render_concept)
 from .data import (DataError, Sample, dualize_sample,
-                   interpretation_signature, load_sample, save_sample)
+                   interpretation_signature, load_sample, quotient,
+                   save_sample)
 from .encoder import encode_fitting
 from .fitter import (APPROXIMATE, FITTED, NO_FIT_WITHIN_BOUND, TIMED_OUT,
-                     FitConfig, FitResult, approx_fit, bounded_fit,
-                     encode_size, verify)
+                     FitConfig, FitResult, approx_fit, bisimilar_reason,
+                     bounded_fit, encode_size, verify)
 from .solver import export_dimacs
 from . import benchgen
 
@@ -154,6 +155,7 @@ def _result_json(result: FitResult, sample: Sample) -> dict:
         "reason": result.reason,
         "elements": len(sample.interp.domain),
         "classes": result.classes,
+        "names": result.names,
         "concept": (render_concept(result.concept)
                     if result.concept is not None else None),
         "size": result.size,
@@ -251,18 +253,27 @@ def cmd_encode(args) -> int:
     k = args.max_size
     if k < 1:
         raise DataError("--max-size must be at least 1")
+    q = quotient(sample)
     cnf, vm = encode_size(sample, k, args.ops, typed=not args.no_typed,
-                          templates=not args.no_templates,
+                          templates=not args.no_templates, quotient=q,
                           count_only=args.stats)
     cnf.absorb(encode_fitting(sample, vm))
+    # the fitting units of a bisimilar pair contradict each other: say so
+    reason = bisimilar_reason(sample, q)
     if args.stats:
         print(f"elements: {len(sample.interp.domain)}")
         print(f"classes: {len(vm.interp.domain)}")
+        print(f"names: {len(vm.sigma.concept_names)} of "
+              f"{len(sample.interp.concept_ext)}")
+        if reason is not None:
+            print(f"reason: {reason}")
         print(f"vars: {vm.num_vars}")
         print(f"clauses: {cnf.num_clauses}")
         for tag in sorted(cnf.groups):
             print(f"{tag}: {cnf.groups[tag]}")
         return 0
+    if reason is not None:
+        print(f"reason: {reason}", file=sys.stderr)
     text = export_dimacs(cnf, vm)
     if args.emit_dimacs:
         # in slices: encoding the whole text at once would hold a second,

@@ -224,7 +224,7 @@ def load_facts(text: str) -> Interpretation:
         domain.append(elem)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         if line.startswith("element "):
@@ -244,6 +244,14 @@ def load_facts(text: str) -> Interpretation:
             touch(y, lineno)
             role_ext.setdefault(role, set()).add((x, y))
             continue
+        # a checked name on a known element: the regex would accept the
+        # line and find just these two, so skip it
+        name, _, rest = line.partition("(")
+        if name in names_seen and rest.endswith(")"):
+            elem = rest[:-1].strip()
+            if elem in seen:
+                concept_ext[name].add(elem)
+                continue
         m = _CONCEPT_FACT_RE.match(line)
         if m:
             name, elem = m.groups()

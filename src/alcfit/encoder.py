@@ -34,7 +34,13 @@ that share a class keep one literal each.
 
 The label alphabet is {top, bot} + concept names + the operator labels
 permitted by the operator set (quantifier and role fused into one label,
-matching the size measure).
+matching the size measure).  Its names are those of the signature given to
+encode_syntax.  fitter.encode_size gives it fitter.folded_signature: one
+name per distinct extension on the quotient's classes that is neither empty
+nor full (the first such name in sorted order), and every role name.  An
+empty name acts as bot, a full one as top, and equal names as one another,
+so the fold keeps every size's answer; the syntax group, pairwise over the
+labels, and the name semantics shrink with it.
 
 Clause groups: "syntax", "semantics" (with subgroups "semantics.names" for
 name-label semantics, "semantics.namehood" for the l[i] definitions and

@@ -4,12 +4,14 @@ plus the anytime coverage-maximization variant.
 Both modes are one loop (_fit).  It first takes the sample's bisimulation
 quotient (data.quotient): no concept tells bisimilar elements apart, or
 reads an element no example reaches, so every z row and semantics block is
-built per class of reachable elements, not per domain element.  In exact
-mode a positive and a negative example in one class end the run at once
-(no_fit_within_bound, with the pair as FitResult.reason).  Then, for
-k = 1, 2, ..., k_max, it takes the size-k encoding from encode_size, the
-one place that assembles syntax, semantics and symmetry-breaking clauses,
-opens one solver session on it and adds the mode's goal:
+built per class of reachable elements, not per domain element, and the
+names that share an extension on the classes share one label
+(folded_signature).  In exact mode a positive and a negative example in
+one class end the run at once (no_fit_within_bound, with the pair as
+FitResult.reason).  Then, for k = 1, 2, ..., k_max, it takes the size-k
+encoding from encode_size, the one place that assembles syntax, semantics
+and symmetry-breaking clauses, opens one solver session on it and adds the
+mode's goal:
 
 - exact mode adds the fitting units once; the first satisfiable k is
   minimal by construction, and an unsatisfiable k moves on to k+1;
@@ -30,20 +32,21 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .concepts import (Concept, O_ALL, OperatorSet, Top, evaluate,
-                       in_fragment, size)
+from .concepts import (Concept, O_ALL, OperatorSet, Signature, Top,
+                       evaluate, in_fragment, size)
 from .data import (Quotient, Sample, TypeTable, compute_types,
                    interpretation_signature, quotient as sample_quotient)
 from .encoder import (Cnf, EncodingError, VarMap, decode_model,
                       encode_coverage_at_least, encode_fitting,
                       encode_semantics_base, encode_semantics_typed,
-                      encode_syntax, encode_templates)
+                      encode_syntax, encode_templates, pattern_bans_active)
 from .solver import SolverConfig, make_session
 
 __all__ = [
     "FITTED", "NO_FIT_WITHIN_BOUND", "APPROXIMATE", "TIMED_OUT",
     "FitConfig", "FitResult", "KStat", "VerifyReport",
-    "encode_size", "bounded_fit", "approx_fit", "verify",
+    "folded_signature", "bisimilar_reason", "encode_size", "bounded_fit",
+    "approx_fit", "verify",
 ]
 
 FITTED = "fitted"
@@ -101,7 +104,27 @@ class FitResult:
     per_k: tuple[KStat, ...] = ()
     coverage_history: tuple[int, ...] = ()
     classes: int | None = None      # bisimulation classes encoded
+    names: int | None = None        # concept names encoded (folded_signature)
     reason: str | None = None       # why no concept can fit, when known
+
+
+def folded_signature(sample: Sample, q: Quotient) -> Signature:
+    """The sample's signature folded onto its quotient: one concept name
+    per distinct extension on the classes that is neither empty nor full,
+    the first in sorted order; every role name.
+
+    A dropped name has a size-1 stand-in with the same value at every
+    class: bot for an empty extension, top for a full one, the kept name
+    for an equal one.  So every size-k concept over the sample's signature
+    has a size-k twin over the folded one that fits the same examples."""
+    sigma = interpretation_signature(sample.interp)
+    full = len(q.interp.domain)
+    kept: dict[frozenset[str], str] = {}
+    for name in sorted(sigma.concept_names):
+        ext = q.interp.concept_ext.get(name)  # absent when empty
+        if ext and len(ext) < full:
+            kept.setdefault(ext, name)
+    return Signature(frozenset(kept.values()), sigma.role_names)
 
 
 def encode_size(sample: Sample, k: int, ops: OperatorSet = O_ALL, *,
@@ -112,20 +135,25 @@ def encode_size(sample: Sample, k: int, ops: OperatorSet = O_ALL, *,
     """The size-k encoding of the sample without a goal: syntax trees over
     the fragment's alphabet, the semantics of every node in the sample's
     quotient, and (templates) level-order symmetry breaking plus the
-    pattern bans that `bans` selects (None: pattern_bans_active).  Callers
-    add encode_fitting or encode_coverage_at_least.
+    pattern bans that `bans` selects (None: pattern_bans_active on the
+    sample's own signature).  Callers add encode_fitting or
+    encode_coverage_at_least.
 
-    The alphabet comes from the sample's own signature; the z and child
-    rows are per bisimulation class of the reachable elements (`quotient`,
-    computed here when not given), and the variable map resolves each
-    example to its class.  typed uses the type-table name semantics;
-    `types`, the quotient interpretation's table, is computed here when
-    not given.  count_only counts the semantics clauses without building
-    them; the result then cannot be solved or exported.
+    The z and child rows are per bisimulation class of the reachable
+    elements (`quotient`, computed here when not given), and the variable
+    map resolves each example to its class.  The alphabet's names are
+    folded_signature's, one per distinct extension on the classes; decoding
+    names the kept one.  typed uses the type-table name semantics; `types`,
+    the quotient interpretation's table, is computed here when not given.
+    count_only counts the semantics clauses without building them; the
+    result then cannot be solved or exported.
     """
     if quotient is None:
         quotient = sample_quotient(sample)
-    cnf, vm = encode_syntax(k, ops, interpretation_signature(sample.interp))
+    if bans is None:
+        bans = pattern_bans_active(
+            ops, interpretation_signature(sample.interp))
+    cnf, vm = encode_syntax(k, ops, folded_signature(sample, quotient))
     if count_only:
         cnf = Cnf(store=False).absorb(cnf)
     if typed:
@@ -180,25 +208,27 @@ def _expired(deadline: float | None) -> bool:
 
 def _result(status: str, best: Concept | None, coverage: int,
             stats: list[KStat], history: list[int],
-            classes: int) -> FitResult:
+            encoded: dict[str, int]) -> FitResult:
+    """encoded: the classes and names counts of FitResult."""
     if best is None:
         return FitResult(status, None, None, None, tuple(stats),
-                         tuple(history), classes)
+                         tuple(history), **encoded)
     return FitResult(status, best, coverage, size(best), tuple(stats),
-                     tuple(history), classes)
+                     tuple(history), **encoded)
 
 
-def _bisimilar_pair(sample: Sample, q: Quotient) -> tuple[str, str] | None:
-    """A positive and a negative example in one class of the quotient, the
-    first such negative with the first positive of its class; None when
-    the classes separate the labels."""
+def bisimilar_reason(sample: Sample, q: Quotient) -> str | None:
+    """Why no concept fits the sample when a positive and a negative share
+    a class of its quotient q: the first such negative with the first
+    positive of its class.  None when the classes separate the labels."""
     first_positive: dict[int, str] = {}
     for a in sample.positives:
         first_positive.setdefault(q.row[a], a)
     for b in sample.negatives:
         a = first_positive.get(q.row[b])
         if a is not None:
-            return a, b
+            return (f"positive {a} and negative {b} are bisimilar; "
+                    "no concept separates them")
     return None
 
 
@@ -213,14 +243,13 @@ def _fit(sample: Sample, cfg: FitConfig, mode: str) -> FitResult:
     deadline = (None if cfg.budget is None
                 else time.monotonic() + cfg.budget)
     q = sample_quotient(sample)
-    classes = len(q.interp.domain)
+    encoded = {"classes": len(q.interp.domain),
+               "names": len(folded_signature(sample, q).concept_names)}
     if exact:
-        pair = _bisimilar_pair(sample, q)
-        if pair is not None:
-            return FitResult(
-                NO_FIT_WITHIN_BOUND, None, None, None, classes=classes,
-                reason=(f"positive {pair[0]} and negative {pair[1]} are "
-                        "bisimilar; no concept separates them"))
+        reason = bisimilar_reason(sample, q)
+        if reason is not None:
+            return FitResult(NO_FIT_WITHIN_BOUND, None, None, None,
+                             reason=reason, **encoded)
     types = compute_types(q.interp) if cfg.typed else None
     stats: list[KStat] = []
     history: list[int] = []
@@ -229,7 +258,7 @@ def _fit(sample: Sample, cfg: FitConfig, mode: str) -> FitResult:
     for k in range(1, cfg.k_max + 1):
         if _expired(deadline):
             return _result(TIMED_OUT, best, best_cov, stats, history,
-                           classes)
+                           encoded)
         cnf, vm = encode_size(sample, k, cfg.ops, typed=cfg.typed,
                               templates=cfg.templates, quotient=q,
                               types=types)
@@ -261,15 +290,15 @@ def _fit(sample: Sample, cfg: FitConfig, mode: str) -> FitResult:
                                None if exact else best_cov,
                                sum(counted) if counted else None))
         if best_cov == total:
-            return _result(FITTED, best, best_cov, stats, history, classes)
+            return _result(FITTED, best, best_cov, stats, history, encoded)
         # unsat: size k cannot reach m; unknown: the budget or slice is spent
         if not out.is_unsat and (exact or _expired(deadline)):
             return _result(TIMED_OUT, best, best_cov, stats, history,
-                           classes)
+                           encoded)
     status = NO_FIT_WITHIN_BOUND if best is None else APPROXIMATE
     if not exact and _expired(deadline):
         status = TIMED_OUT
-    return _result(status, best, best_cov, stats, history, classes)
+    return _result(status, best, best_cov, stats, history, encoded)
 
 
 def bounded_fit(sample: Sample, cfg: FitConfig = FitConfig()) -> FitResult:

@@ -91,6 +91,7 @@ def test_fit_report_sidecar(fig1_manifest, tmp_path, capsys):
     assert payload["coverage"] == 3
     assert isinstance(payload["concept"], str)
     assert (payload["elements"], payload["classes"]) == (7, 6)
+    assert payload["names"] == 2  # A and B differ on the classes
     assert payload["reason"] is None
     assert len(payload["per_k"]) == 4
     assert {"k", "num_vars", "num_clauses", "status", "time", "best_m",
@@ -220,10 +221,30 @@ def test_encode_to_file(fig1_manifest, tmp_path, capsys):
 
 def test_encode_to_stdout(fig1_manifest, capsys):
     assert main(["encode", str(fig1_manifest), "--max-size", "2"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("c 1 = x[1,")
-    assert "\np cnf " in out
+    captured = capsys.readouterr()
+    assert captured.out.startswith("c 1 = x[1,")
+    assert "\np cnf " in captured.out
+    assert captured.err == ""  # the classes separate the examples
     assert main(["encode", str(fig1_manifest), "--max-size", "0"]) == 65
+
+
+def test_encode_names_bisimilar_examples(contra_manifest, tmp_path, capsys):
+    # the file is still written, but its fitting units contradict each
+    # other; encode says why, as fit does
+    reason = ("reason: positive e1 and negative e2 are bisimilar; "
+              "no concept separates them")
+    out = tmp_path / "contra.cnf"
+    assert main(["encode", str(contra_manifest), "--max-size", "2",
+                 "--emit-dimacs", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == reason + "\n"
+    assert re.fullmatch(rf"wrote {re.escape(str(out))}: \d+ vars, "
+                        r"\d+ clauses\n", captured.out)
+    assert main(["encode", str(contra_manifest), "--max-size", "2",
+                 "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert reason in captured.out.splitlines()
+    assert captured.err == ""
 
 
 def test_encode_stats(fig1_manifest, tmp_path, capsys):
@@ -238,12 +259,14 @@ def test_encode_stats(fig1_manifest, tmp_path, capsys):
                      "--stats", *flags]) == 0
         lines = capsys.readouterr().out.splitlines()
         stats = dict(line.split(": ") for line in lines)
+        assert stats.pop("names") == "2 of 2"
         counts = {key: int(value) for key, value in stats.items()}
         groups = {key: n for key, n in counts.items()
                   if key not in ("elements", "classes", "vars", "clauses")}
         assert sum(groups.values()) == counts["clauses"]
         # the B-leaves x2 and y2 are bisimilar: 7 elements, 6 rows
         assert (counts["elements"], counts["classes"]) == (7, 6)
+        assert lines[:3] == ["elements: 7", "classes: 6", "names: 2 of 2"]
         assert counts["semantics.child"] == 2 * 6 * (4 * 3 // 2)
         if not flags:  # the counts of the DIMACS text of the same encoding
             assert (counts["vars"], counts["clauses"]) == tuple(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +46,21 @@ def test_load_facts_checks_names_per_kind():
              ("r(a,b)\nr(a,b)\nelement 9z\n", "line 3: bad element")]
     for text, message in cases:
         with pytest.raises(DataError, match=message):
+            load_facts(text)
+
+
+def test_repeated_concept_facts_keep_the_language():
+    # a fact on a known name and element takes a shortcut past the regex;
+    # what it accepts and how it fails must not change
+    interp = load_facts("A(e)\nA( e )\nA(f)\nA(\te)\n")
+    assert interp.concept_ext == {"A": frozenset({"e", "f"})}
+    cases = [("A(e)\nA (e)\n", "line 2: cannot parse 'A (e)'"),
+             ("A(e)\nA(e))\n", "line 2: cannot parse 'A(e))'"),
+             ("A(e)\na(e)\n", "line 2: concept names start uppercase: 'a'"),
+             ("A(e)\nA((e)\n", "line 2: cannot parse 'A((e)'"),
+             ("A(e)\nA(e # c)\n", "line 2: cannot parse 'A(e # c)'")]
+    for text, message in cases:
+        with pytest.raises(DataError, match=re.escape(message)):
             load_facts(text)
 
 

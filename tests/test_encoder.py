@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import random
 from collections import deque
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alcfit.benchgen import gen_random
+from alcfit.benchgen import gen_random, gen_type_grid
 from alcfit.concepts import (And, Bot, Exists, Forall, Name, Not, O_ALL, Or,
                              Signature, Top, evaluate, fits, in_fragment, size)
-from alcfit.data import compute_types, interpretation_signature, quotient
+from alcfit.data import (Sample, compute_types, interpretation_signature,
+                         quotient)
 from alcfit.encoder import (EncodingError, VarMap, decode_model,
                             encode_coverage_at_least, encode_fitting,
                             encode_semantics_base, encode_semantics_typed,
@@ -196,6 +198,45 @@ def test_name_semantics_clause_counts(fig1_sample):
         k * len(types) * names + 2 * k * n) == 40
     # namehood: per node, one long clause plus one per name
     assert typed.group_total("semantics.namehood") == k * (1 + names) == 6
+
+
+def _syntax_clauses(k: int, leaves: int, unary: int, binary: int) -> int:
+    """encode_syntax's clause count: per node, at least one label, the
+    pairwise exclusions over the labels, the arity clauses of each label
+    and the at-most-one successor slot; per non-root node, exactly one
+    parent slot."""
+    labels = leaves + unary + binary
+    total = 0
+    for i in range(1, k + 1):
+        y1, y2 = k - i, max(k - i - 1, 0)
+        total += 1 + labels * (labels - 1) // 2
+        total += leaves * (y1 + y2) + unary * (1 + y2) + binary * (1 + y1)
+        total += (y1 + y2) * (y1 + y2 - 1) // 2
+    for j in range(2, k + 1):
+        parents = (j - 1) + (j - 1 if j < k else 0) + (j - 2)
+        total += 1 + parents * (parents - 1) // 2
+    return total
+
+
+def test_folded_alphabet_syntax_clause_count():
+    # a role-free type grid: on the classes of 8 examples most of its 20
+    # names are empty, full or equal to another, and the syntax group is
+    # the pairwise formula over the labels that are left
+    interp = gen_type_grid(300, 20, 12)
+    picks = random.Random(1).sample(interp.domain, 8)
+    sample = Sample(interp, tuple(picks[:4]), tuple(picks[4:]))
+    classes = quotient(sample).interp
+    rows = {frozenset(e for e in classes.domain if e in ext)
+            for ext in interp.concept_ext.values()}
+    distinct = len(rows - {frozenset(), frozenset(classes.domain)})
+    assert distinct < len(interp.concept_ext)
+    for k in range(1, 5):
+        cnf, vm = encode_size(sample, k, O_ALL)
+        names = [lab[1] for lab in vm.labels if lab[0] == "name"]
+        assert len(names) == distinct
+        # top, bot and the names; not; and, or
+        assert cnf.groups["syntax"] == _syntax_clauses(k, 2 + distinct, 1,
+                                                       2), k
 
 
 def test_count_only_matches_stored_counts(fig1_sample):

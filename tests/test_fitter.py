@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 import alcfit.fitter
 from alcfit.benchgen import gen_hitting_set_instance, gen_random
-from alcfit.concepts import O_ALL, Top, fits, in_fragment, parse_concept, size
-from alcfit.data import Sample, load_facts, merge_blocks
+from alcfit.concepts import (O_ALL, Name, Top, fits, in_fragment,
+                             parse_concept, size)
+from alcfit.data import (Interpretation, Sample, load_facts, merge_blocks,
+                         quotient)
 from alcfit.fitter import (APPROXIMATE, FITTED, K_HORIZON,
                            NO_FIT_WITHIN_BOUND, TIMED_OUT, FitConfig,
                            approx_fit, bounded_fit, verify)
@@ -129,6 +131,47 @@ def test_fits_on_the_quotient_match_the_oracle(seed, elements, names, roles,
                                           mode="approximate"))
     for stat in approx.per_k:
         assert stat.best_m == max_coverage(sample, ops, stat.k)[0], stat.k
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 10_000), elements=st.integers(2, 6),
+       names=st.integers(2, 4), roles=st.integers(1, 2),
+       density=st.sampled_from((0.2, 0.4, 0.7)), copied=st.integers(0, 3),
+       ops=st.sampled_from(quantifier_fragments()))
+def test_fits_with_redundant_names_match_the_oracle(seed, elements, names,
+                                                    roles, density, copied,
+                                                    ops):
+    # three names the fold drops: a copy of a name, a name true only on an
+    # unreachable element, and one true on every reachable element.  The
+    # answers must still be the oracle's on the sample without them
+    sample = gen_random(elements, names, roles, density,
+                        (elements + 1) // 2, elements // 2, seed)
+    interp = sample.interp
+    present = sorted(interp.concept_ext) or ["A"]
+    name = present[copied % len(present)]
+    extended = Interpretation(
+        interp.domain + ("u",),
+        {**interp.concept_ext,
+         name + "2": interp.concept_ext.get(name, frozenset()),
+         "Unreached": {"u"}, "Reached": set(quotient(sample).row)},
+        interp.role_ext)
+    padded = Sample(extended, sample.positives, sample.negatives)
+    profile = exact_fit_profile(sample, ops, 5)
+    exact = bounded_fit(padded, FitConfig(ops=ops, k_max=5))
+    minimum = profile.index(True) + 1 if True in profile else None
+    assert exact.size == minimum
+    assert exact.names <= len(interp.concept_ext)
+    approx = approx_fit(padded, FitConfig(ops=ops, k_max=5,
+                                          mode="approximate"))
+    for stat in approx.per_k:
+        assert stat.best_m == max_coverage(sample, ops, stat.k)[0], stat.k
+
+
+def test_equal_names_answer_with_the_first_in_sorted_order():
+    interp = Interpretation(["a", "b"], {n: {"a"} for n in "DBCA"}, {})
+    result = bounded_fit(Sample(interp, ("a",), ("b",)), FitConfig(k_max=2))
+    assert (result.status, result.concept) == (FITTED, Name("A"))
+    assert result.names == 1
 
 
 def test_bisimilar_examples_end_an_exact_run(contra_sample, monkeypatch):
