@@ -48,33 +48,36 @@ name-label semantics, "semantics.namehood" for the l[i] definitions and
 "template" (symmetry breaking and pattern bans).
 
 The semantics clauses come in blocks: the same few clauses repeated for
-every domain element.  Each block is built over the whole domain as one
-literal array and appended with Cnf.add_block.  Blocks whose clauses have a
-fixed shape per element (top, bot, names, negation, and, or, the child
-rows and the typed type rows) repeat a one-element pattern n times and fill
-the element-dependent positions by strided slice assignment from prebuilt
-z / c / xt rows (_add_rows).  Negation, and, or and the child rows come one
-block per (node, child): the child row is tied to the child once per edge,
+every domain element.  Each block is kept in the Cnf as a recipe, one part
+appended with Cnf.add_block, and no block is spelled out as literals until
+a solver asks for it.  Blocks whose clauses have a fixed shape per element
+(top, bot, names, negation, and, or, the child rows and the typed type
+rows) are Rows recipes: a one-element pattern repeated n times, whose
+element-dependent positions are filled from prebuilt z / c / xt rows
+(_add_rows).  Negation, and, or and the child rows come one block per
+(node, child): the child row is tied to the child once per edge,
 y1[i,j] -> (c[i,a] <-> z[j,a]).  Quantifier blocks then read the child row
 and come one per (node, label), not one per (node, label, child).  They
-depend on the role's successor lists; their layout is an index template,
-built once per label, that gathers the literals from [0, -x] + z_i + (-z_i)
-+ c_i + (-c_i) (_quantifier_template).  Counting-only encodings compute
-each block's clause count and build no block.
+depend on the role's successor lists and are Gather recipes: an index
+template, built once per label, into the literal list [0, -x] + z_i +
+(-z_i) + c_i + (-c_i), whose tail is shared by node i's quantifier blocks
+(_quantifier_template).  The rows are shared across blocks, so DIMACS
+export renders each row once (solver.export_dimacs).  Counting-only
+encodings compute each block's clause count and build no block.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from operator import mul, neg
+from operator import itemgetter, mul, neg
 
 from .concepts import (And, Bot, Concept, Exists, Forall, Name, Not, Or,
                        O_ALL, OperatorSet, Signature, Top)
 from .data import Interpretation, Quotient, Sample, TypeTable
 
 __all__ = [
-    "EncodingError", "Cnf", "VarMap",
+    "EncodingError", "Cnf", "Rows", "Gather", "VarMap",
     "encode_syntax", "encode_semantics_base", "encode_semantics_typed",
     "encode_fitting", "encode_coverage_at_least", "encode_templates",
     "decode_model", "pattern_bans_active",
@@ -91,24 +94,86 @@ class EncodingError(RuntimeError):
     """Internal inconsistency: bad model shape or misused variable map."""
 
 
-class Cnf:
-    """Clause store: flat literal buffer with 0 terminators, plus group
-    counts.  With store=False only the counts are kept (for clause
-    arithmetic on encodings too large to hold).
+class Rows:
+    """Recipe of an _add_rows block: `pattern`, one element's clauses, is
+    repeated n times, and rows[r] fills position offsets[r] of the e-th
+    repetition with rows[r][e]."""
 
-    Clauses arrive one at a time (add) or as a block of whole clauses in
-    one 0-terminated literal array (add_block), which is how the semantics
-    encoding appends its per-domain blocks; either way the counts and group
-    tags are kept here.
+    __slots__ = ("pattern", "offsets", "rows", "n")
+
+    def __init__(self, pattern: array, offsets: array,
+                 rows: tuple[array, ...], n: int):
+        self.pattern = pattern
+        self.offsets = offsets
+        self.rows = rows
+        self.n = n
+
+    def ints(self) -> array:
+        period = len(self.pattern)
+        block = self.pattern * self.n
+        for offset, row in zip(self.offsets, self.rows):
+            block[offset::period] = row
+        return block
+
+    def text(self, token, row_tokens) -> str:
+        """The block's literals as text, laid out as ints lays out ints:
+        token(lit) per pattern literal, row_tokens(row) for a row's."""
+        period = len(self.pattern)
+        block = list(map(token, self.pattern)) * self.n
+        for offset, row in zip(self.offsets, self.rows):
+            block[offset::period] = row_tokens(row)
+        return "".join(block)
+
+
+class Gather:
+    """Recipe of a quantifier block: literal p is src[idx[p]], where src is
+    `head` followed by `tail`.  `idx` is a label's index template
+    (_quantifier_template) and `tail` the node's rows, shared by its
+    quantifier blocks."""
+
+    __slots__ = ("head", "tail", "idx")
+
+    def __init__(self, head: array, tail: array, idx: list[int]):
+        self.head = head
+        self.tail = tail
+        self.idx = idx
+
+    def ints(self) -> array:
+        src = self.head + self.tail
+        block = array("i")
+        block.fromlist(list(map(src.__getitem__, self.idx)))
+        return block
+
+    def text(self, token, row_tokens) -> str:
+        """The block's literals as text: token(lit) per head literal,
+        row_tokens(tail) for the tail's, gathered as ints gathers ints."""
+        src = list(map(token, self.head)) + row_tokens(self.tail)
+        return "".join(itemgetter(*self.idx)(src))
+
+
+class Cnf:
+    """Clause store: a list of parts, each a run of whole 0-terminated
+    clauses, plus group counts.  With store=False only the counts are kept
+    (for clause arithmetic on encodings too large to hold).
+
+    A part is a literal run (an int array of the clauses that add appended
+    one at a time since the part before it) or a recipe of add_block: Rows,
+    how the semantics encoding lays out a block repeated per domain
+    element, or Gather, a quantifier block read through an index template.
+    A recipe becomes ints only when asked (arrays, lits, clauses); DIMACS
+    export renders it from tokens (text) without them
+    (solver.export_dimacs).
 
     num_vars is declared by the encoding functions, not inferred per
     literal; hand-built instances should call declare_vars.
     """
 
-    __slots__ = ("lits", "num_clauses", "num_vars", "groups", "store")
+    __slots__ = ("_parts", "_run", "num_clauses", "num_vars", "groups",
+                 "store")
 
     def __init__(self, store: bool = True):
-        self.lits = array("i")
+        self._parts: list[array | Rows | Gather] = []
+        self._run = array("i")  # the run add extends; parts closes it
         self.num_clauses = 0
         self.num_vars = 0
         self.groups: dict[str, int] = {}
@@ -118,34 +183,57 @@ class Cnf:
         if not lits:
             raise EncodingError("empty clause")
         if self.store:
-            self.lits.extend(lits)
-            self.lits.append(0)
+            self._run.extend(lits)
+            self._run.append(0)
         self.num_clauses += 1
         self.groups[tag] = self.groups.get(tag, 0) + 1
 
-    def add_block(self, tag: str, count: int, lits: array | None = None,
-                  ) -> None:
-        """Append `count` clauses given as one 0-terminated literal array;
-        `lits` may be omitted when only counts are kept."""
+    def add_block(self, tag: str, count: int,
+                  part: Rows | Gather | None = None) -> None:
+        """Append `count` clauses given as one recipe; `part` may be omitted
+        when only counts are kept."""
         if not count:
             return
         if self.store:
-            self.lits.extend(lits)
+            self.parts.append(part)
         self.num_clauses += count
         self.groups[tag] = self.groups.get(tag, 0) + count
+
+    @property
+    def parts(self) -> list[array | Rows | Gather]:
+        """The clauses in order, one part each; the run that add has been
+        extending is closed into the list first, so a part never grows."""
+        if self._run:
+            self._parts.append(self._run)
+            self._run = array("i")
+        return self._parts
 
     def declare_vars(self, n: int) -> None:
         if n > self.num_vars:
             self.num_vars = n
 
+    def arrays(self):
+        """Each part's clauses as one 0-terminated int array, a recipe's
+        made when its turn comes."""
+        for part in self.parts:
+            yield part if isinstance(part, array) else part.ints()
+
+    @property
+    def lits(self) -> array:
+        """All clauses as one 0-terminated literal array (a new copy)."""
+        out = array("i")
+        for buf in self.arrays():
+            out.extend(buf)
+        return out
+
     def clauses(self):
         """Iterate clauses as lists of signed ints."""
-        buf = self.lits
-        start, end = 0, len(buf)
-        while start < end:
-            stop = buf.index(0, start)
-            yield buf[start:stop].tolist()
-            start = stop + 1
+        for buf in self.arrays():
+            start, end = 0, len(buf)
+            while start < end:
+                stop = buf.index(0, start)
+                yield buf[start:stop].tolist()
+                start = stop + 1
 
     def group_total(self, prefix: str) -> int:
         dotted = prefix + "."
@@ -153,10 +241,11 @@ class Cnf:
                    if tag == prefix or tag.startswith(dotted))
 
     def absorb(self, other: "Cnf") -> "Cnf":
+        """Append the other's clauses: its parts, by reference."""
         if self.store and not other.store:
             raise EncodingError("cannot absorb counted-only clauses")
         if self.store:
-            self.lits.extend(other.lits)
+            self.parts.extend(other.parts)
         self.num_clauses += other.num_clauses
         self.declare_vars(other.num_vars)
         for tag, n in other.groups.items():
@@ -304,9 +393,19 @@ class VarMap:
             return f"x[{i},{'.'.join(str(p) for p in lab)}]"
         return f"{kind}[{','.join(str(p) for p in rest)}]"
 
-    def comment_lines(self):
-        for var in range(1, self._next):
-            yield f"c {var} = {self.describe(var)}"
+    def comment_lines(self) -> list[str]:
+        """`c <id> = <describe(id)>` for every variable, rendered from the
+        tags directly: one f-string per variable."""
+        label = {lab: ".".join(lab) for lab in self.labels}
+        lines = []
+        for var, tag in enumerate(self._tags[1:], 1):
+            if len(tag) == 2:
+                lines.append(f"c {var} = {tag[0]}[{tag[1]}]")
+            elif tag[0] == "x":
+                lines.append(f"c {var} = x[{tag[1]},{label[tag[2]]}]")
+            else:
+                lines.append(f"c {var} = {tag[0]}[{tag[1]},{tag[2]}]")
+        return lines
 
 
 # ---------------------------------------------------------------------------
@@ -389,28 +488,26 @@ def _add_rows(cnf: Cnf, tag: str, n: int, *shapes) -> None:
     element.  A shape's literals are ints, the same for every element, or
     rows (int arrays of length n) of which element e takes entry e.
 
-    The block is a one-element pattern repeated n times; each row fills its
-    position by one strided slice assignment.
+    The block is kept as a Rows recipe: a one-element pattern repeated n
+    times, each row filling its position.
     """
     count = n * len(shapes)
     if not cnf.store:
         cnf.add_block(tag, count)
         return
     pattern = array("i")
+    offsets = array("i")
     rows = []
     for shape in shapes:
         for lit in shape:
             if isinstance(lit, array):
-                rows.append((len(pattern), lit))
+                offsets.append(len(pattern))
+                rows.append(lit)
                 pattern.append(0)
             else:
                 pattern.append(lit)
         pattern.append(0)
-    period = len(pattern)
-    block = pattern * n
-    for offset, row in rows:
-        block[offset::period] = row
-    cnf.add_block(tag, count, block)
+    cnf.add_block(tag, count, Rows(pattern, offsets, tuple(rows), n))
 
 
 def _quantifier_template(kind: str, targets: list[tuple[int, ...]],
@@ -479,7 +576,7 @@ def _non_name_semantics(cnf: Cnf, vm: VarMap, interp: Interpretation,
                 _add_rows(cnf, CHILD, n, (-yv, nci, z[j - 1]),
                           (-yv, ci, nz[j - 1]))
             # the quantifier templates' literal list after [0, -x]
-            src_rows = [*zi, *nzi, *ci, *nci]
+            src_rows = zi + nzi + ci + nci
 
         for lab in vm.labels:
             kind = lab[0]
@@ -513,10 +610,8 @@ def _non_name_semantics(cnf: Cnf, vm: VarMap, interp: Interpretation,
                 if idx is None:
                     idx = templates[lab] = _quantifier_template(
                         kind, succ_rows[lab[1]])
-                src = [0, -xv, *src_rows]
-                block = array("i")
-                block.fromlist(list(map(src.__getitem__, idx)))
-                cnf.add_block(SEM, count, block)
+                cnf.add_block(SEM, count,
+                              Gather(array("i", (0, -xv)), src_rows, idx))
 
 
 def encode_semantics_base(k: int, interp: Interpretation | Quotient,

@@ -178,12 +178,15 @@ class NativeSession(SolverSession):
             raise SolverError("cannot solve a counted-only clause set")
         if cnf.num_vars > self.num_vars:
             self.num_vars = cnf.num_vars
-        if not cnf.lits:
-            return
-        addr, count = cnf.lits.buffer_info()
-        ptr = ctypes.cast(addr, ctypes.POINTER(ctypes.c_int32))
-        added = self._lib.satbridge_add_clauses(self._ptr, ptr, count)
-        self.num_clauses += added
+        # part by part, so no flat copy of the whole CNF is made; `buf`
+        # keeps each part's ints alive while the solver reads them
+        for buf in cnf.arrays():
+            if not buf:
+                continue
+            addr, count = buf.buffer_info()
+            ptr = ctypes.cast(addr, ctypes.POINTER(ctypes.c_int32))
+            self.num_clauses += self._lib.satbridge_add_clauses(
+                self._ptr, ptr, count)
         # a hand-built Cnf may mention variables it never declared
         self.declare_vars(self._lib.satbridge_max_variable(self._ptr))
 
@@ -228,41 +231,62 @@ class NativeSession(SolverSession):
 # ---------------------------------------------------------------------------
 # DIMACS pipeline
 
-_CHUNK = 1 << 16  # literals per piece of DIMACS text, rounded up to a clause
+_CHUNK = 1 << 16  # literals per piece of a literal run's DIMACS text
 
 
-def _literal_table(bound: int) -> dict[int, str]:
+class _Tokens(dict):
     """DIMACS token of every literal in -bound..bound: "<lit> " and, for the
-    clause terminator 0, "0\n".  A dict, not a list: an undeclared literal
-    must raise KeyError, where a negative list index would silently pick a
-    wrong string."""
-    table = {lit: f"{lit} " for lit in range(-bound, bound + 1)}
-    table[0] = "0\n"
-    return table
+    clause terminator 0, "0\n".  The token of a literal beyond the bound (a
+    hand-built Cnf need not declare its variables) is made when asked for,
+    and `missed` notes that it was."""
+
+    missed = False
+
+    def __init__(self, bound: int):
+        super().__init__((lit, f"{lit} ") for lit in range(-bound, bound + 1))
+        self[0] = "0\n"
+
+    def __missing__(self, lit: int) -> str:
+        self.missed = True
+        return f"{lit} "
 
 
-def _pieces(lits: array, table: dict[int, str]) -> list[str]:
-    """DIMACS clause lines of a 0-terminated literal buffer, in pieces of
-    about _CHUNK literals that each end at a clause end."""
+def _pieces(cnf: Cnf, table: _Tokens) -> list[str]:
+    """DIMACS clause lines of a Cnf's parts, one piece per recipe and per
+    _CHUNK literals of a run.  A recipe renders itself from tokens (text),
+    and the token list of each row it reads is made once per row object,
+    however many blocks share it."""
     get = table.__getitem__
+    cache: dict[int, list[str]] = {}  # id(row) -> its tokens
+
+    def row_tokens(row: array) -> list[str]:
+        toks = cache.get(id(row))
+        if toks is None:  # every row lives in a part until the export ends
+            toks = cache[id(row)] = list(map(get, row))
+        return toks
+
     pieces = []
-    start, end = 0, len(lits)
-    while start < end:
-        stop = lits.index(0, min(start + _CHUNK, end - 1)) + 1
-        pieces.append("".join(map(get, lits[start:stop])))
-        start = stop
+    for part in cnf.parts:
+        if isinstance(part, array):
+            for start in range(0, len(part), _CHUNK):
+                pieces.append("".join(map(get, part[start:start + _CHUNK])))
+        else:
+            pieces.append(part.text(get, row_tokens))
     return pieces
 
 
-def _clause_text(lits: array, num_vars: int) -> tuple[list[str], int]:
+def _clause_text(cnf: Cnf, num_vars: int) -> tuple[list[str], int]:
     """The pieces of _pieces plus the variable count for the header:
-    num_vars, or the largest |literal| where a literal exceeds it (a
-    hand-built Cnf need not declare its variables)."""
-    try:
-        return _pieces(lits, _literal_table(num_vars)), num_vars
-    except KeyError:
-        bound = max(max(lits), -min(lits))
-        return _pieces(lits, _literal_table(bound)), bound
+    num_vars, or the largest |literal| of a clause where one exceeds it.
+    Only then are the parts' literals scanned: a recipe may also hold
+    literals that no clause reads."""
+    table = _Tokens(num_vars)
+    pieces = _pieces(cnf, table)
+    if table.missed:
+        for buf in cnf.arrays():
+            if buf:
+                num_vars = max(num_vars, max(buf), -min(buf))
+    return pieces, num_vars
 
 
 def export_dimacs(cnf: Cnf, vm: VarMap | None = None) -> str:
@@ -272,9 +296,9 @@ def export_dimacs(cnf: Cnf, vm: VarMap | None = None) -> str:
         raise SolverError("cannot export a counted-only clause set")
     out: list[str] = []
     if vm is not None:
-        out.extend(f"{line}\n" for line in vm.comment_lines())
+        out.append("\n".join(vm.comment_lines()) + "\n")
     pieces, num_vars = _clause_text(
-        cnf.lits, max(cnf.num_vars, vm.num_vars if vm else 0))
+        cnf, max(cnf.num_vars, vm.num_vars if vm else 0))
     out.append(f"p cnf {num_vars} {cnf.num_clauses}\n")
     out.extend(pieces)
     return "".join(out)
@@ -317,26 +341,27 @@ class DimacsSession(SolverSession):
         self._argv = shlex.split(command)
         if not self._argv:
             raise SolverError("empty DIMACS backend command")
-        self._lits = array("i")
-        self.num_clauses = 0
+        self._cnf = Cnf()  # every clause so far, as the parts given
 
     def add_clause(self, lits) -> None:
         lits = list(lits)
         if not lits:
             raise SolverError("empty clause")
         self._track(lits)
-        self._lits.extend(lits)
-        self._lits.append(0)
+        self._cnf.add("clause", lits)
         self.num_clauses += 1
 
     def add_cnf(self, cnf: Cnf) -> None:
         if not cnf.store:
             raise SolverError("cannot solve a counted-only clause set")
-        # a hand-built Cnf may mention variables it never declared
-        lits = cnf.lits
-        self.declare_vars(max(cnf.num_vars, max(lits, default=0),
-                              -min(lits, default=0)))
-        self._lits.extend(lits)
+        self.declare_vars(cnf.num_vars)
+        # a hand-built Cnf may mention variables it never declared: its
+        # literal runs are scanned here, the recipes by _clause_text's
+        # fallback when a solve renders them
+        for part in cnf.parts:
+            if isinstance(part, array) and part:
+                self.declare_vars(max(max(part), -min(part)))
+        self._cnf.absorb(cnf)
         self.num_clauses += cnf.num_clauses
 
     def solve(self, assumptions=(), conflict_budget: int | None = None,
@@ -346,7 +371,9 @@ class DimacsSession(SolverSession):
         assumptions = list(assumptions)
         self._track(assumptions)
         total = self.num_clauses + len(assumptions)
-        pieces, _ = _clause_text(self._lits, self.num_vars)
+        # a hand-built Cnf may mention variables it never declared
+        pieces, num_vars = _clause_text(self._cnf, self.num_vars)
+        self.declare_vars(num_vars)
         start = time.perf_counter()
         with tempfile.NamedTemporaryFile(
                 mode="w", suffix=".cnf", prefix="alcfit-", delete=False) as fh:

@@ -4,6 +4,7 @@ import itertools
 import shutil
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,10 @@ from hypothesis import strategies as st
 
 from alcfit.benchgen import gen_random
 from alcfit.concepts import O_ALL, fits
-from alcfit.encoder import Cnf, decode_model
+from alcfit.data import merge_blocks
+from alcfit.encoder import (Cnf, Gather, Rows, _add_rows, decode_model,
+                            encode_fitting)
+from alcfit.fitter import encode_size
 from alcfit.solver import (DimacsSession, NativeSession, SolverConfig,
                            SolverError, export_dimacs, make_session,
                            parse_dimacs)
@@ -259,17 +263,142 @@ def test_parse_dimacs_round_trip(fig1_sample):
         session.close()
 
 
+def per_clause_text(num_vars: int, clauses: list[list[int]]) -> str:
+    """The plain one-line-per-clause DIMACS rendering: the reference."""
+    return f"p cnf {num_vars} {len(clauses)}\n" + "".join(
+        " ".join(map(str, clause + [0])) + "\n" for clause in clauses)
+
+
+def expanded_clauses(cnf: Cnf) -> list[list[int]]:
+    """The clauses of cnf's parts, each recipe expanded literal by literal
+    as its docstring defines it."""
+    flat = []
+    for part in cnf.parts:
+        if isinstance(part, Rows):
+            at = dict(zip(part.offsets, part.rows))
+            flat += [at[p][e] if p in at else lit for e in range(part.n)
+                     for p, lit in enumerate(part.pattern)]
+        elif isinstance(part, Gather):
+            src = list(part.head) + list(part.tail)
+            flat += [src[p] for p in part.idx]
+        else:
+            flat += part
+    out, clause = [], []
+    for lit in flat:
+        if lit:
+            clause.append(lit)
+        else:
+            out.append(clause)
+            clause = []
+    return out
+
+
 def test_export_matches_per_clause_text_with_roles():
     sample = gen_random(60, 2, 2, 0.1, 3, 3, seed=3)
     cnf, vm = build_encoding(sample, 6, O_ALL)
     clauses = list(cnf.clauses())
-    assert len(cnf.lits) > 1 << 16  # more than one piece of text
+    assert len(cnf.lits) > 1 << 16  # many blocks, many pieces of text
     text = export_dimacs(cnf)
-    # the plain one-line-per-clause rendering is the reference
-    assert text == (f"p cnf {vm.num_vars} {cnf.num_clauses}\n" + "".join(
-        " ".join(map(str, clause + [0])) + "\n" for clause in clauses))
+    assert text == per_clause_text(vm.num_vars, clauses)
     assert parse_dimacs(text) == (vm.num_vars, clauses)
     assert len(clauses) == cnf.num_clauses
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10_000), elements=st.integers(2, 8),
+       names=st.integers(1, 3), roles=st.integers(1, 2),
+       density=st.sampled_from((0.2, 0.4, 0.7)), split=st.booleans(),
+       k=st.integers(1, 5), typed=st.booleans(),
+       ops=st.sets(st.sampled_from(sorted(O_ALL))).map(frozenset))
+def test_export_renders_encodings_clause_by_clause(seed, elements, names,
+                                                   roles, density, split, k,
+                                                   typed, ops):
+    # the block renderer must write what the clauses say, one line each;
+    # split puts positives and negatives in two copies of one
+    # interpretation, so that the quotient merges every element with its
+    # copy
+    sample = gen_random(elements, names, roles, density,
+                        (elements + 1) // 2, elements // 2, seed)
+    if split:
+        sample = merge_blocks([
+            (sample.interp, list(sample.positives), []),
+            (sample.interp, [], list(sample.negatives))])
+    cnf, vm = encode_size(sample, k, ops, typed=typed)
+    cnf.absorb(encode_fitting(sample, vm))
+    clauses = list(cnf.clauses())
+    assert clauses == expanded_clauses(cnf)
+    assert len(clauses) == cnf.num_clauses
+    text = export_dimacs(cnf)
+    assert text == per_clause_text(vm.num_vars, clauses)
+    assert export_dimacs(cnf, vm) == (
+        "".join(f"c {v} = {vm.describe(v)}\n"
+                for v in range(1, vm.num_vars + 1)) + text)
+    assert list(cnf.clauses()) == clauses  # rendering changed nothing
+
+
+row_lists = st.lists(st.lists(literals, min_size=3, max_size=3),
+                    min_size=1, max_size=3)
+row_ref = st.integers(0, 2).map(lambda i: ("row", i))
+hand_steps = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.lists(literals, min_size=1, max_size=3)),
+    st.tuples(st.just("absorb"), clause_lists, st.integers(0, 8)),
+    st.tuples(st.just("rows"), row_lists,
+              st.lists(st.lists(st.one_of(literals, row_ref),
+                                min_size=1, max_size=3),
+                       min_size=1, max_size=2)),
+    st.tuples(st.just("gather"), st.lists(literals, min_size=1, max_size=6),
+              st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3),
+                       min_size=1, max_size=4)),
+    st.tuples(st.just("declare"), st.integers(0, 8))), max_size=12)
+
+
+@settings(deadline=None, max_examples=80)
+@given(hand_steps)
+def test_export_renders_hand_built_mixes(steps):
+    # clauses added one at a time, absorbed from other Cnfs, laid out as
+    # row blocks (rows reused across shapes and blocks) and gathered from a
+    # literal list, with literals up to 6 and fewer variables declared: the
+    # header must count the largest |literal|
+    cnf = Cnf()
+    expected: list[list[int]] = []
+    declared = 0
+    for step in steps:
+        if step[0] == "add":
+            cnf.add("t", step[1])
+            expected.append(step[1])
+        elif step[0] == "absorb":
+            other = Cnf()
+            other.declare_vars(step[2])
+            declared = max(declared, step[2])
+            for clause in step[1]:
+                other.add("t", clause)
+            cnf.absorb(other)
+            expected += step[1]
+        elif step[0] == "rows":
+            rows = [array("i", row) for row in step[1]]
+            shapes = [[rows[lit[1] % len(rows)] if isinstance(lit, tuple)
+                       else lit for lit in shape] for shape in step[2]]
+            _add_rows(cnf, "t", 3, *shapes)
+            expected += [[lit[e] if isinstance(lit, array) else lit
+                          for lit in shape]
+                         for e in range(3) for shape in shapes]
+        elif step[0] == "gather":
+            tail, picks = step[1], step[2]
+            # src = [0] + tail: index 0 ends a clause, p + 1 is tail[p]
+            idx = [i for clause in picks
+                   for i in [p % len(tail) + 1 for p in clause] + [0]]
+            cnf.add_block("t", len(picks),
+                          Gather(array("i", [0]), array("i", tail), idx))
+            expected += [[tail[p % len(tail)] for p in clause]
+                         for clause in picks]
+        else:
+            cnf.declare_vars(step[1])
+            declared = max(declared, step[1])
+    clauses = list(cnf.clauses())
+    assert clauses == expected == expanded_clauses(cnf)
+    num_vars = max([declared] + [abs(lit) for c in expected for lit in c])
+    assert export_dimacs(cnf) == per_clause_text(num_vars, expected)
+    assert list(cnf.clauses()) == clauses
 
 
 def test_parse_dimacs_rejects_bad_header():
