@@ -14,7 +14,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from alcfit.solver import NativeSession, parse_dimacs
+try:
+    from alcfit.solver import NativeSession, parse_dimacs
+except ModuleNotFoundError as exc:  # not installed: use this checkout's
+    if exc.name != "alcfit":
+        raise
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    from alcfit.solver import NativeSession, parse_dimacs
 
 
 def main(argv=None) -> int:

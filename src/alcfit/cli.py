@@ -7,7 +7,8 @@
     alcfit gen <family> [params] --out DIR
 
 Exit codes: 0 fitted, 10 approximate, 20 no fit within bound, 30 timed out,
-64 usage error, 65 data/parse error.
+64 usage error, 65 data/parse error, 69 solver backend unavailable or
+failed.  An EncodingError is a bug, not a user error: it is not caught.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from .encoder import encode_fitting
 from .fitter import (APPROXIMATE, FITTED, NO_FIT_WITHIN_BOUND, TIMED_OUT,
                      FitConfig, FitResult, approx_fit, bisimilar_reason,
                      bounded_fit, encode_size, verify)
-from .solver import export_dimacs
+from .solver import SolverError, export_dimacs
 from . import benchgen
 
 USAGE_ERROR = 64
 DATA_ERROR = 65
+UNAVAILABLE = 69  # sysexits EX_UNAVAILABLE
 
 _STATUS_EXIT = {FITTED: 0, APPROXIMATE: 10, NO_FIT_WITHIN_BOUND: 20,
                 TIMED_OUT: 30}
@@ -255,8 +257,7 @@ def cmd_encode(args) -> int:
         raise DataError("--max-size must be at least 1")
     q = quotient(sample)
     cnf, vm = encode_size(sample, k, args.ops, typed=not args.no_typed,
-                          templates=not args.no_templates, quotient=q,
-                          count_only=args.stats)
+                          templates=not args.no_templates, quotient=q)
     cnf.absorb(encode_fitting(sample, vm))
     # the fitting units of a bisimilar pair contradict each other: say so
     reason = bisimilar_reason(sample, q)
@@ -370,6 +371,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"alcfit: error: {exc}", file=sys.stderr)
         return DATA_ERROR
+    except SolverError as exc:
+        print(f"alcfit: error: {exc}", file=sys.stderr)
+        return UNAVAILABLE
 
 
 if __name__ == "__main__":

@@ -62,8 +62,10 @@ depend on the role's successor lists and are Gather recipes: an index
 template, built once per label, into the literal list [0, -x] + z_i +
 (-z_i) + c_i + (-c_i), whose tail is shared by node i's quantifier blocks
 (_quantifier_template).  The rows are shared across blocks, so DIMACS
-export renders each row once (solver.export_dimacs).  Counting-only
-encodings compute each block's clause count and build no block.
+export renders each row once (solver.export_dimacs).  Building a recipe
+costs about what counting its clauses would, and its memory is of the
+order of the rows it reads (the variable map's own), so there is one kind
+of Cnf: encode --stats counts the same one that DIMACS export renders.
 """
 
 from __future__ import annotations
@@ -153,14 +155,13 @@ class Gather:
 
 class Cnf:
     """Clause store: a list of parts, each a run of whole 0-terminated
-    clauses, plus group counts.  With store=False only the counts are kept
-    (for clause arithmetic on encodings too large to hold).
+    clauses, plus group counts.
 
     A part is a literal run (an int array of the clauses that add appended
     one at a time since the part before it) or a recipe of add_block: Rows,
     how the semantics encoding lays out a block repeated per domain
     element, or Gather, a quantifier block read through an index template.
-    A recipe becomes ints only when asked (arrays, lits, clauses); DIMACS
+    A recipe becomes ints only when asked (arrays, clauses); DIMACS
     export renders it from tokens (text) without them
     (solver.export_dimacs).
 
@@ -168,34 +169,28 @@ class Cnf:
     literal; hand-built instances should call declare_vars.
     """
 
-    __slots__ = ("_parts", "_run", "num_clauses", "num_vars", "groups",
-                 "store")
+    __slots__ = ("_parts", "_run", "num_clauses", "num_vars", "groups")
 
-    def __init__(self, store: bool = True):
+    def __init__(self):
         self._parts: list[array | Rows | Gather] = []
         self._run = array("i")  # the run add extends; parts closes it
         self.num_clauses = 0
         self.num_vars = 0
         self.groups: dict[str, int] = {}
-        self.store = store
 
     def add(self, tag: str, lits) -> None:
         if not lits:
             raise EncodingError("empty clause")
-        if self.store:
-            self._run.extend(lits)
-            self._run.append(0)
+        self._run.extend(lits)
+        self._run.append(0)
         self.num_clauses += 1
         self.groups[tag] = self.groups.get(tag, 0) + 1
 
-    def add_block(self, tag: str, count: int,
-                  part: Rows | Gather | None = None) -> None:
-        """Append `count` clauses given as one recipe; `part` may be omitted
-        when only counts are kept."""
+    def add_block(self, tag: str, count: int, part: Rows | Gather) -> None:
+        """Append `count` clauses given as one recipe."""
         if not count:
             return
-        if self.store:
-            self.parts.append(part)
+        self.parts.append(part)
         self.num_clauses += count
         self.groups[tag] = self.groups.get(tag, 0) + count
 
@@ -218,14 +213,6 @@ class Cnf:
         for part in self.parts:
             yield part if isinstance(part, array) else part.ints()
 
-    @property
-    def lits(self) -> array:
-        """All clauses as one 0-terminated literal array (a new copy)."""
-        out = array("i")
-        for buf in self.arrays():
-            out.extend(buf)
-        return out
-
     def clauses(self):
         """Iterate clauses as lists of signed ints."""
         for buf in self.arrays():
@@ -242,10 +229,7 @@ class Cnf:
 
     def absorb(self, other: "Cnf") -> "Cnf":
         """Append the other's clauses: its parts, by reference."""
-        if self.store and not other.store:
-            raise EncodingError("cannot absorb counted-only clauses")
-        if self.store:
-            self.parts.extend(other.parts)
+        self.parts.extend(other.parts)
         self.num_clauses += other.num_clauses
         self.declare_vars(other.num_vars)
         for tag, n in other.groups.items():
@@ -491,10 +475,6 @@ def _add_rows(cnf: Cnf, tag: str, n: int, *shapes) -> None:
     The block is kept as a Rows recipe: a one-element pattern repeated n
     times, each row filling its position.
     """
-    count = n * len(shapes)
-    if not cnf.store:
-        cnf.add_block(tag, count)
-        return
     pattern = array("i")
     offsets = array("i")
     rows = []
@@ -507,7 +487,7 @@ def _add_rows(cnf: Cnf, tag: str, n: int, *shapes) -> None:
             else:
                 pattern.append(lit)
         pattern.append(0)
-    cnf.add_block(tag, count, Rows(pattern, offsets, tuple(rows), n))
+    cnf.add_block(tag, n * len(shapes), Rows(pattern, offsets, tuple(rows), n))
 
 
 def _quantifier_template(kind: str, targets: list[tuple[int, ...]],
@@ -602,27 +582,23 @@ def _non_name_semantics(cnf: Cnf, vm: VarMap, interp: Interpretation,
                     _add_rows(cnf, SEM, n, (-xv, -yv, nzi, nz[j - 1]),
                               (-xv, -yv, zi, z[j - 1]))
             elif ci:  # no child row, no child: no quantifier block
-                count = block_size[lab[1]]
-                if not cnf.store:
-                    cnf.add_block(SEM, count)
-                    continue
                 idx = templates.get(lab)
                 if idx is None:
                     idx = templates[lab] = _quantifier_template(
                         kind, succ_rows[lab[1]])
-                cnf.add_block(SEM, count,
+                cnf.add_block(SEM, block_size[lab[1]],
                               Gather(array("i", (0, -xv)), src_rows, idx))
 
 
 def encode_semantics_base(k: int, interp: Interpretation | Quotient,
-                          vm: VarMap, count_only: bool = False) -> Cnf:
+                          vm: VarMap) -> Cnf:
     """Per-element name semantics: one clause per (node, name, element).
     Given a quotient, its classes are the elements (VarMap.bind)."""
     if vm.k != k:
         raise EncodingError("variable map built for a different size bound")
     vm.bind(interp)
     interp = vm.interp
-    cnf = Cnf(store=not count_only)
+    cnf = Cnf()
     NAMES = "semantics.names"
     n = len(interp.domain)
     z, nz = _z_rows(vm)
@@ -634,10 +610,8 @@ def encode_semantics_base(k: int, interp: Interpretation | Quotient,
             row[interp.index[a]] = 1
     for i in range(1, k + 1):
         for lab in name_labels:
-            # (-x, z) inside the extension, (-x, -z) outside; no block is
-            # built when only counting
-            signed = (array("i", map(mul, z[i - 1], sign[lab]))
-                      if cnf.store else None)
+            # (-x, z) inside the extension, (-x, -z) outside
+            signed = array("i", map(mul, z[i - 1], sign[lab]))
             _add_rows(cnf, NAMES, n, (-vm.x(i, lab), signed))
     _non_name_semantics(cnf, vm, interp, z, nz)
     cnf.declare_vars(vm.num_vars)
@@ -645,8 +619,7 @@ def encode_semantics_base(k: int, interp: Interpretation | Quotient,
 
 
 def encode_semantics_typed(k: int, interp: Interpretation | Quotient,
-                           vm: VarMap, types: TypeTable,
-                           count_only: bool = False) -> Cnf:
+                           vm: VarMap, types: TypeTable) -> Cnf:
     """Name semantics through element types: k*|T|*|names| label-to-type
     clauses plus 2*k*|domain| type-row clauses.  Given a quotient, its
     classes are the elements (VarMap.bind) and `types` is its table."""
@@ -657,7 +630,7 @@ def encode_semantics_typed(k: int, interp: Interpretation | Quotient,
     if set(types.type_of) != interp.domain_set:
         raise EncodingError("type table does not cover the interpretation")
     vm.ensure_typed(types)
-    cnf = Cnf(store=not count_only)
+    cnf = Cnf()
     add = cnf.add
     NAMES = "semantics.names"
     NAMEHOOD = "semantics.namehood"

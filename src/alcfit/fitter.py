@@ -39,7 +39,7 @@ from .data import (Quotient, Sample, TypeTable, compute_types,
 from .encoder import (Cnf, EncodingError, VarMap, decode_model,
                       encode_coverage_at_least, encode_fitting,
                       encode_semantics_base, encode_semantics_typed,
-                      encode_syntax, encode_templates, pattern_bans_active)
+                      encode_syntax, encode_templates)
 from .solver import SolverConfig, make_session
 
 __all__ = [
@@ -116,7 +116,10 @@ def folded_signature(sample: Sample, q: Quotient) -> Signature:
     A dropped name has a size-1 stand-in with the same value at every
     class: bot for an empty extension, top for a full one, the kept name
     for an equal one.  So every size-k concept over the sample's signature
-    has a size-k twin over the folded one that fits the same examples."""
+    has a size-k twin over the folded one that fits the same examples.
+    Keeping every role name also keeps the pattern-ban policy, which reads
+    only the role names (pattern_bans_active): it decides the same on the
+    folded signature as on the sample's."""
     sigma = interpretation_signature(sample.interp)
     full = len(q.interp.domain)
     kept: dict[frozenset[str], str] = {}
@@ -131,13 +134,15 @@ def encode_size(sample: Sample, k: int, ops: OperatorSet = O_ALL, *,
                 typed: bool = True, templates: bool = True,
                 quotient: Quotient | None = None,
                 types: TypeTable | None = None, bans: bool | None = None,
-                count_only: bool = False) -> tuple[Cnf, VarMap]:
+                ) -> tuple[Cnf, VarMap]:
     """The size-k encoding of the sample without a goal: syntax trees over
     the fragment's alphabet, the semantics of every node in the sample's
     quotient, and (templates) level-order symmetry breaking plus the
-    pattern bans that `bans` selects (None: pattern_bans_active on the
-    sample's own signature).  Callers add encode_fitting or
-    encode_coverage_at_least.
+    pattern bans that `bans` selects.  bans=None leaves the choice to
+    encode_templates, which applies pattern_bans_active to the folded
+    signature; that policy reads only the role names, which the fold keeps
+    (folded_signature), so it is the sample's own.  Callers add
+    encode_fitting or encode_coverage_at_least.
 
     The z and child rows are per bisimulation class of the reachable
     elements (`quotient`, computed here when not given), and the variable
@@ -145,25 +150,19 @@ def encode_size(sample: Sample, k: int, ops: OperatorSet = O_ALL, *,
     folded_signature's, one per distinct extension on the classes; decoding
     names the kept one.  typed uses the type-table name semantics; `types`,
     the quotient interpretation's table, is computed here when not given.
-    count_only counts the semantics clauses without building them; the
-    result then cannot be solved or exported.
+    Every semantics block is kept as a recipe over shared rows
+    (encoder.Cnf), so the counts are those of the clauses that a solver
+    reads and DIMACS export renders.
     """
     if quotient is None:
         quotient = sample_quotient(sample)
-    if bans is None:
-        bans = pattern_bans_active(
-            ops, interpretation_signature(sample.interp))
     cnf, vm = encode_syntax(k, ops, folded_signature(sample, quotient))
-    if count_only:
-        cnf = Cnf(store=False).absorb(cnf)
     if typed:
         if types is None:
             types = compute_types(quotient.interp)
-        cnf.absorb(encode_semantics_typed(k, quotient, vm, types,
-                                          count_only=count_only))
+        cnf.absorb(encode_semantics_typed(k, quotient, vm, types))
     else:
-        cnf.absorb(encode_semantics_base(k, quotient, vm,
-                                         count_only=count_only))
+        cnf.absorb(encode_semantics_base(k, quotient, vm))
     if templates:
         cnf.absorb(encode_templates(k, vm, bans=bans))
     return cnf, vm

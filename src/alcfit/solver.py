@@ -174,8 +174,6 @@ class NativeSession(SolverSession):
         self.num_clauses += 1
 
     def add_cnf(self, cnf: Cnf) -> None:
-        if not cnf.store:
-            raise SolverError("cannot solve a counted-only clause set")
         if cnf.num_vars > self.num_vars:
             self.num_vars = cnf.num_vars
         # part by part, so no flat copy of the whole CNF is made; `buf`
@@ -292,8 +290,6 @@ def _clause_text(cnf: Cnf, num_vars: int) -> tuple[list[str], int]:
 def export_dimacs(cnf: Cnf, vm: VarMap | None = None) -> str:
     """Standard DIMACS text; with a variable map, `c <id> = <tag>` comments
     document the encoding (stable across runs for identical inputs)."""
-    if not cnf.store:
-        raise SolverError("cannot export a counted-only clause set")
     out: list[str] = []
     if vm is not None:
         out.append("\n".join(vm.comment_lines()) + "\n")
@@ -334,7 +330,9 @@ class DimacsSession(SolverSession):
     """One-shot subprocess backend: each solve writes the accumulated
     clauses (assumptions appended as units) to a fresh DIMACS file and runs
     the configured command on it.  Exit code 10 or an `s SATISFIABLE` line
-    means sat, 20 / `s UNSATISFIABLE` unsat, anything else unknown."""
+    means sat, 20 / `s UNSATISFIABLE` unsat, any other `s` line (such as
+    `s UNKNOWN`) or a timeout unknown.  A command that exits otherwise
+    without an `s` line has failed: SolverError."""
 
     def __init__(self, command: str, config: SolverConfig = SolverConfig()):
         super().__init__(config)
@@ -352,8 +350,6 @@ class DimacsSession(SolverSession):
         self.num_clauses += 1
 
     def add_cnf(self, cnf: Cnf) -> None:
-        if not cnf.store:
-            raise SolverError("cannot solve a counted-only clause set")
         self.declare_vars(cnf.num_vars)
         # a hand-built Cnf may mention variables it never declared: its
         # literal runs are scanned here, the recipes by _clause_text's
@@ -398,9 +394,11 @@ class DimacsSession(SolverSession):
         elif proc.returncode == 20:
             status = UNSAT
         values: dict[int, bool] = {}
+        answered = False
         for raw in proc.stdout.splitlines():
             line = raw.strip()
             if line.startswith("s "):
+                answered = True
                 verdict = line[2:].strip().upper()
                 if verdict == "SATISFIABLE":
                     status = SAT
@@ -411,6 +409,12 @@ class DimacsSession(SolverSession):
                     lit = int(tok)
                     if lit:
                         values[abs(lit)] = lit > 0
+        if proc.returncode not in (10, 20) and not answered:
+            errors = proc.stderr.strip().splitlines()
+            raise SolverError(
+                f"{self._argv[0]!r} exited with code {proc.returncode} and "
+                "gave no answer"
+                + (f": {errors[-1].strip()}" if errors else ""))
         if status == SAT:
             model = tuple(values.get(v, False)
                           for v in range(self.num_vars + 1))

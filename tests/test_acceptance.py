@@ -222,11 +222,11 @@ def test_criterion_6_type_clause_arithmetic():
         k = 4
         _, vm = encode_syntax(k, O_ALL, interpretation_signature(interp))
         vm.bind(interp)
-        typed = encode_semantics_typed(k, interp, vm, types, count_only=True)
+        typed = encode_semantics_typed(k, interp, vm, types)
         assert typed.group_total("semantics.names") == 209_628
         assert typed.group_total("semantics.names") == \
             k * 105 * 133 + k * 19221 * 2
-        base = encode_semantics_base(k, interp, vm, count_only=True)
+        base = encode_semantics_base(k, interp, vm)
         assert base.group_total("semantics.names") == 10_225_572
         assert base.group_total("semantics.names") == k * 19221 * 133
         assert base.group_total("semantics.names") > 10_000_000

@@ -150,6 +150,22 @@ def test_usage_errors(fig1_manifest):
         assert exc.value.code == 64
 
 
+def test_solver_errors(fig1_manifest, capsys):
+    # a backend that is unknown, cannot be run, or fails: one error line
+    # and sysexits EX_UNAVAILABLE, not a traceback or a timeout
+    crash = f"{sys.executable} -c 'import sys; sys.exit(3)'"
+    for backend, message in (("bogus", "unknown backend 'bogus'"),
+                             ("dimacs:no-such-binary",
+                              "cannot run 'no-such-binary'"),
+                             (f"dimacs:{crash}", "exited with code 3")):
+        capsys.readouterr()
+        assert main(["fit", str(fig1_manifest),
+                     "--backend", backend]) == 69, backend
+        err = capsys.readouterr().err
+        assert err.startswith("alcfit: error: ") and message in err
+        assert err.count("\n") == 1
+
+
 def test_data_errors(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "missing.manifest")]) == 65
     bad = tmp_path / "bad.manifest"

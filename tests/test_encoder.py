@@ -239,30 +239,6 @@ def test_folded_alphabet_syntax_clause_count():
                                                        2), k
 
 
-def test_count_only_matches_stored_counts(fig1_sample):
-    two_roles = gen_random(12, 2, 2, 0.3, 3, 3, seed=5)
-    assert len(two_roles.interp.role_ext) == 2
-    for sample in (fig1_sample, two_roles):
-        interp = sample.interp
-        sigma = interpretation_signature(interp)
-        for builder in (encode_semantics_base,
-                        lambda k, i, vm, count_only=False:
-                        encode_semantics_typed(k, i, vm, compute_types(i),
-                                               count_only=count_only)):
-            _, vm = encode_syntax(3, O_ALL, sigma)
-            vm.bind(interp)
-            stored = builder(3, interp, vm)
-            _, vm2 = encode_syntax(3, O_ALL, sigma)
-            vm2.bind(interp)
-            counted = builder(3, interp, vm2, count_only=True)
-            assert counted.num_clauses == stored.num_clauses
-            assert counted.groups == stored.groups
-            # the stored blocks hold as many clauses as they report
-            assert stored.lits.count(0) == stored.num_clauses
-            assert not counted.store
-            assert len(counted.lits) == 0
-
-
 def test_child_row_and_quantifier_clause_counts():
     # one child channel of 2n clauses per y1 edge, and one quantifier block
     # of n + |E_r| clauses per (node i < k, label)
@@ -279,16 +255,11 @@ def test_child_row_and_quantifier_clause_counts():
     and_or = 2 * 3 * n * (k - 1) * (k - 2) // 2
     for ops, semantics in ((O_ALL, top_bot + negation + and_or),
                            (frozenset({"exists", "forall"}), top_bot)):
-        groups = []
-        for count_only in (False, True):
-            _, vm = encode_syntax(k, ops, sigma)
-            vm.bind(interp)
-            groups.append(encode_semantics_base(
-                k, interp, vm, count_only=count_only).groups)
-        stored, counted = groups
-        assert stored == counted
-        assert stored["semantics.child"] == 2 * n * k * (k - 1) // 2
-        assert stored["semantics"] == semantics + (k - 1) * quantifier
+        _, vm = encode_syntax(k, ops, sigma)
+        vm.bind(interp)
+        groups = encode_semantics_base(k, interp, vm).groups
+        assert groups["semantics.child"] == 2 * n * k * (k - 1) // 2
+        assert groups["semantics"] == semantics + (k - 1) * quantifier
 
     # child rows exist only with a quantifier label: none for a role-free
     # sample, none for a role sample under {neg, and, or}

@@ -297,7 +297,8 @@ def test_export_matches_per_clause_text_with_roles():
     sample = gen_random(60, 2, 2, 0.1, 3, 3, seed=3)
     cnf, vm = build_encoding(sample, 6, O_ALL)
     clauses = list(cnf.clauses())
-    assert len(cnf.lits) > 1 << 16  # many blocks, many pieces of text
+    # many blocks, many pieces of text
+    assert sum(map(len, cnf.arrays())) > 1 << 16
     text = export_dimacs(cnf)
     assert text == per_clause_text(vm.num_vars, clauses)
     assert parse_dimacs(text) == (vm.num_vars, clauses)
@@ -438,3 +439,35 @@ def test_missing_subprocess_command_raises():
     session.add_clause([1])
     with pytest.raises(SolverError):
         session.solve()
+
+
+def _scripted_session(tmp_path, name: str, source: str) -> DimacsSession:
+    """A DIMACS session over one unit clause whose command runs `source`."""
+    script = tmp_path / f"{name}.py"
+    script.write_text(source, encoding="utf-8")
+    session = DimacsSession(f"{sys.executable} {script}")
+    session.add_clause([1])
+    return session
+
+
+def test_crashing_subprocess_backend_raises(tmp_path):
+    # neither 10 nor 20 and no `s` line: the command failed, whatever the
+    # budget; the error names the exit code and the last stderr line
+    crash = _scripted_session(
+        tmp_path, "crash",
+        "import sys\nsys.stderr.write('reading\\nout of memory\\n')\n"
+        "sys.exit(3)\n")
+    with pytest.raises(SolverError, match=r"code 3 .*: out of memory$"):
+        crash.solve()
+    silent = _scripted_session(tmp_path, "silent", "")
+    with pytest.raises(SolverError, match=r"code 0 and gave no answer$"):
+        silent.solve(timeout=30)
+
+
+def test_subprocess_unknown_answers_stay_unknown(tmp_path):
+    answered = _scripted_session(tmp_path, "answered",
+                                 "print('s UNKNOWN')\nraise SystemExit(1)\n")
+    assert answered.solve().status == "unknown"
+    slow = _scripted_session(tmp_path, "slow",
+                             "import time\ntime.sleep(30)\n")
+    assert slow.solve(timeout=0.5).status == "unknown"
