@@ -181,7 +181,7 @@ def _print_fit(result: FitResult, sample: Sample) -> None:
     if result.concept is not None:
         print(f"concept: {render_concept(result.concept)}")
         print(f"size: {result.size}")
-    print(f"coverage: {result.coverage}/{sample.num_examples}")
+        print(f"coverage: {result.coverage}/{sample.num_examples}")
 
 
 def _run_fit(sample: Sample, cfg: FitConfig) -> FitResult:
@@ -190,8 +190,10 @@ def _run_fit(sample: Sample, cfg: FitConfig) -> FitResult:
 
 
 def cmd_fit(args) -> int:
+    cfg = _config(args)  # check the arguments before reading any input
+    if args.folds and args.folds < 2:
+        raise DataError("--folds needs at least 2")
     sample = load_sample(args.manifest)
-    cfg = _config(args)
     if args.folds:
         return _cross_validate(sample, cfg, args.folds)
     result = _run_fit(sample, cfg)
@@ -204,8 +206,6 @@ def cmd_fit(args) -> int:
 
 
 def _cross_validate(sample: Sample, cfg: FitConfig, folds: int) -> int:
-    if folds < 2:
-        raise DataError("--folds needs at least 2")
     if sample.num_examples < folds:
         raise DataError("fewer examples than folds")
 
@@ -251,10 +251,10 @@ def _cross_validate(sample: Sample, cfg: FitConfig, folds: int) -> int:
 # encode / verify / dualize / gen
 
 def cmd_encode(args) -> int:
-    sample = load_sample(args.manifest)
     k = args.max_size
     if k < 1:
         raise DataError("--max-size must be at least 1")
+    sample = load_sample(args.manifest)
     q = quotient(sample)
     cnf, vm = encode_size(sample, k, args.ops, typed=not args.no_typed,
                           templates=not args.no_templates, quotient=q)
@@ -290,8 +290,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sample = load_sample(args.manifest)
     concept = parse_concept(args.concept)
+    sample = load_sample(args.manifest)
     report = verify(concept, sample)
     print(f"fits: {str(report.fits).lower()}")
     print(f"coverage: {report.coverage}/{sample.num_examples}")

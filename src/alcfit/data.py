@@ -7,6 +7,10 @@ Fact file format (UTF-8, one item per line):
     element e       domain declaration for an element with no facts
     # ...           comment; blank lines ignored
 
+Lines are those of str.splitlines, so error line numbers count them that
+way.  load_sample reads each fact file in batches of whole lines, so
+loading needs memory of the order of the interpretation, not of the file.
+
 A sample manifest is structured text with repeatable blocks, one per fact
 file; a new block starts at each `facts =` line:
 
@@ -24,8 +28,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
+from typing import Iterable
 
 from .concepts import Signature
 
@@ -68,11 +74,12 @@ class Interpretation:
         dom = tuple(domain)
         if not dom:
             raise DataError("empty domain")
-        if len(set(dom)) != len(dom):
-            raise DataError("duplicate elements in domain")
         self.domain: tuple[str, ...] = dom
         self.domain_set: frozenset[str] = frozenset(dom)
-        # drop empty extensions so that absent and empty are the same thing
+        if len(self.domain_set) != len(dom):
+            raise DataError("duplicate elements in domain")
+        # drop empty extensions so that absent and empty are the same thing;
+        # a frozenset extension is kept as it is, not copied
         self.concept_ext: dict[str, frozenset[str]] = {
             a: frozenset(ext) for a, ext in sorted(concept_ext.items()) if ext}
         self.role_ext: dict[str, frozenset[tuple[str, str]]] = {
@@ -204,10 +211,33 @@ def _check_ident(name: str, what: str, lineno: int) -> None:
         raise DataError(f"line {lineno}: {what} identifier {name!r} is reserved")
 
 
+# characters per batch of whole lines that load_sample reads from a fact file
+_BATCH = 1 << 16
+
+
 def load_facts(text: str) -> Interpretation:
     """Parse fact-file text; element order is first appearance."""
+    return _parse_lines(text.splitlines())
+
+
+def _file_lines(fh) -> Iterable[str]:
+    """The lines of an open text file, as text.splitlines() would give them.
+
+    Read in batches of about _BATCH characters of whole lines; each batch
+    is joined and split once, which costs less than splitting line by line.
+    The file is opened with universal newlines, so every batch ends where
+    a line of the file ends.
+    """
+    batches = iter(partial(fh.readlines, _BATCH), [])
+    return chain.from_iterable(map(str.splitlines, map("".join, batches)))
+
+
+def _parse_lines(lines: Iterable[str]) -> Interpretation:
+    """The one fact-line parser, over fact-file lines without their ends."""
     domain: list[str] = []
-    seen: set[str] = set()
+    # element -> its first string object, which every later fact on the
+    # element stores in place of the copy its own line made
+    seen: dict[str, str] = {}
     concept_ext: dict[str, set[str]] = {}
     role_ext: dict[str, set[tuple[str, str]]] = {}
 
@@ -215,15 +245,17 @@ def load_facts(text: str) -> Interpretation:
     roles_seen: set[str] = set()
     names_seen: set[str] = set()
 
-    def touch(elem: str, lineno: int) -> None:
-        if elem in seen:
-            return
+    def touch(elem: str, lineno: int) -> str:
+        known = seen.get(elem)
+        if known is not None:
+            return known
         if not _IDENT_RE.match(elem) and not _PREFIXED_RE.match(elem):
             raise DataError(f"line {lineno}: bad element identifier {elem!r}")
-        seen.add(elem)
+        seen[elem] = elem
         domain.append(elem)
+        return elem
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
@@ -240,16 +272,15 @@ def load_facts(text: str) -> Interpretation:
                         f"line {lineno}: role names start lowercase: {role!r}")
                 _check_ident(role, "role", lineno)
                 roles_seen.add(role)
-            touch(x, lineno)
-            touch(y, lineno)
-            role_ext.setdefault(role, set()).add((x, y))
+            role_ext.setdefault(role, set()).add(
+                (touch(x, lineno), touch(y, lineno)))
             continue
         # a checked name on a known element: the regex would accept the
         # line and find just these two, so skip it
         name, _, rest = line.partition("(")
         if name in names_seen and rest.endswith(")"):
-            elem = rest[:-1].strip()
-            if elem in seen:
+            elem = seen.get(rest[:-1].strip())
+            if elem is not None:
                 concept_ext[name].add(elem)
                 continue
         m = _CONCEPT_FACT_RE.match(line)
@@ -261,14 +292,17 @@ def load_facts(text: str) -> Interpretation:
                                     f"uppercase: {name!r}")
                 _check_ident(name, "concept", lineno)
                 names_seen.add(name)
-            touch(elem, lineno)
-            concept_ext.setdefault(name, set()).add(elem)
+            concept_ext.setdefault(name, set()).add(touch(elem, lineno))
             continue
         raise DataError(f"line {lineno}: cannot parse {raw.strip()!r}")
 
     if not domain:
         raise DataError("empty domain: no facts or element declarations")
-    return Interpretation(domain, concept_ext, role_ext)
+    # freeze one extension at a time, dropping its set as it goes, so no
+    # second copy of every extension is alive at once
+    return Interpretation(
+        domain, {a: frozenset(concept_ext.pop(a)) for a in list(concept_ext)},
+        {r: frozenset(role_ext.pop(r)) for r in list(role_ext)})
 
 
 def save_facts(interp: Interpretation) -> str:
@@ -322,6 +356,8 @@ def load_sample(manifest_path: str | Path) -> Sample:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(_not_utf8("manifest", path, exc)) from exc
     base = path.parent
 
     blocks: list[dict[str, str]] = []
@@ -350,11 +386,12 @@ def load_sample(manifest_path: str | Path) -> Sample:
     for block in blocks:
         facts_path = base / block["facts"]
         try:
-            facts_text = facts_path.read_text(encoding="utf-8")
+            with open(facts_path, encoding="utf-8") as fh:
+                interp = _parse_lines(_file_lines(fh))
         except OSError as exc:
             raise DataError(f"cannot read fact file {facts_path}: {exc}") from exc
-        try:
-            interp = load_facts(facts_text)
+        except UnicodeDecodeError as exc:  # raised partway through the file
+            raise DataError(_not_utf8("fact file", facts_path, exc)) from exc
         except DataError as exc:
             raise DataError(f"{facts_path}: {exc}") from exc
         pos = block.get("positive", "").split()
@@ -365,6 +402,13 @@ def load_sample(manifest_path: str | Path) -> Sample:
                     f"{path}: example element {e!r} not in {facts_path.name}")
         parsed.append((interp, pos, neg))
     return merge_blocks(parsed)
+
+
+def _not_utf8(what: str, path: Path, exc: UnicodeDecodeError) -> str:
+    # the decoder's byte position counts from the chunk it was handed, not
+    # from the start of the file, so leave it out
+    return (f"cannot read {what} {path}: not UTF-8 "
+            f"(byte {exc.object[exc.start:exc.start + 1]!r}: {exc.reason})")
 
 
 def save_sample(sample: Sample, out_dir: str | Path, stem: str = "sample") -> Path:

@@ -71,6 +71,8 @@ class FitConfig:
     def __post_init__(self) -> None:
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError("budget must be at least 0")
         if self.mode not in ("exact", "approximate"):
             raise ValueError(f"unknown mode {self.mode!r}")
 

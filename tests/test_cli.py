@@ -56,8 +56,10 @@ def test_fit_names_bisimilar_examples(contra_manifest, tmp_path, capsys):
     assert out.startswith("status: no_fit_within_bound\n"
                           "reason: positive e1 and negative e2 are "
                           "bisimilar; no concept separates them\n")
+    assert "coverage" not in out  # no concept, so nothing is covered
     payload = json.loads(report.read_text(encoding="utf-8"))
     assert payload["reason"].startswith("positive e1 and negative e2")
+    assert payload["coverage"] is None
     assert (payload["elements"], payload["classes"]) == (2, 1)
     assert payload["per_k"] == []
 
@@ -164,6 +166,45 @@ def test_solver_errors(fig1_manifest, capsys):
         err = capsys.readouterr().err
         assert err.startswith("alcfit: error: ") and message in err
         assert err.count("\n") == 1
+
+
+def test_arguments_are_checked_before_the_input(tmp_path, capsys):
+    # a bad argument is reported even when the fact file is missing
+    manifest = tmp_path / "gone.manifest"
+    manifest.write_text("facts = gone.facts\npositive = e\n",
+                        encoding="utf-8")
+    for argv, message in (
+            (["encode", "--max-size", "0"], "--max-size must be at least 1"),
+            (["fit", "--max-size", "0"], "k_max must be at least 1"),
+            (["fit", "--folds", "1"], "--folds needs at least 2"),
+            (["fit", "--timeout", "-1"], "budget must be at least 0"),
+            (["verify", "A and"], "unexpected end of input")):
+        capsys.readouterr()
+        assert main([argv[0], str(manifest), *argv[1:]]) == 65, argv
+        err = capsys.readouterr().err
+        assert err.startswith("alcfit: error: ") and message in err, err
+        assert err.count("\n") == 1
+    # the arguments being fine, the missing file is what fails
+    assert main(["fit", str(manifest), "--timeout", "0"]) == 65
+    assert "gone.facts" in capsys.readouterr().err
+
+
+def test_input_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    facts = tmp_path / "latin.facts"
+    # past the first batch, so the decode fails partway through the file
+    facts.write_bytes(b"element e\n" * 20_000 + b"A(caf\xe9)\n")
+    manifest = tmp_path / "latin.manifest"
+    manifest.write_text("facts = latin.facts\npositive = e\n",
+                        encoding="utf-8")
+    assert main(["encode", str(manifest), "--stats"]) == 65
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"cannot read fact file {facts}: not UTF-8" in err
+    manifest.write_bytes(b"facts = latin.facts\npositive = \xff\n")
+    assert main(["encode", str(manifest), "--stats"]) == 65
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"cannot read manifest {manifest}: not UTF-8" in err
 
 
 def test_data_errors(tmp_path, capsys):

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import gc
 import re
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alcfit import data
 from alcfit.benchgen import (gen_depth_family, gen_mostgeneral_family,
-                             gen_random)
+                             gen_random, gen_type_grid)
 from alcfit.concepts import Signature
 from alcfit.data import (DataError, Example, Interpretation, Sample,
                          compute_types, dualize_interpretation,
@@ -156,6 +160,59 @@ def test_random_sample_survives_disk_round_trip(tmp_path_factory, seed):
     assert again.interp == sample.interp
     assert (again.positives, again.negatives) == (sample.positives,
                                                   sample.negatives)
+
+
+# lines of every kind, and every line end str.splitlines knows
+_LINES = ["A(a)", "B(f1:x)", "r(a,b)", "s(b,a)", "element c", "element f2:y",
+          "# comment", "A(b) # trailing", "", "   ", "\t", "  A( a )  ",
+          "\tr( a , b )", "element  d ", "A(a", "a(b)", "R(a,b)",
+          "element ", "junk", "not(a)", "A(1x)", "r(a,b", "A(a))"]
+_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+         "\x85", "\u2028", "\u2029"]
+
+
+def _outcome(load):
+    try:
+        return load()
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(_LINES), st.sampled_from(_ENDS)),
+                max_size=12),
+       st.booleans(), st.integers(1, 24))
+def test_streamed_loading_agrees_with_text_loading(tmp_path_factory, lines,
+                                                   final_end, batch):
+    text = "".join(line + end for line, end in lines)
+    if lines and not final_end:
+        text = text[:-len(lines[-1][1])]  # no line end after the last line
+    out = tmp_path_factory.mktemp("stream")
+    facts = out / "t.facts"
+    facts.write_bytes(text.encode("utf-8"))
+    (out / "t.manifest").write_text("facts = t.facts\n", encoding="utf-8")
+    expected = _outcome(lambda: load_facts(text))
+    if isinstance(expected, str):
+        expected = f"{facts}: {expected}"
+    # small batches put batch boundaries next to every kind of line
+    with mock.patch.object(data, "_BATCH", batch):
+        got = _outcome(lambda: load_sample(out / "t.manifest").interp)
+    assert got == expected  # Interpretation equality compares domain order
+
+
+def test_loading_holds_no_copy_of_the_file(tmp_path):
+    # the type grid of the encode-names benchmark: a 1.2 MB fact file
+    manifest = save_sample(Sample(gen_type_grid(19221, 133, 105), (), ()),
+                           tmp_path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sample = load_sample(manifest)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sample.interp.domain) == 19221
+    assert peak <= 1.25 * kept, (peak, kept)
 
 
 # -- duality and types

@@ -241,6 +241,12 @@ def test_empty_sample_fits_trivially():
         assert result.size == 1
 
 
+def test_config_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="budget must be at least 0"):
+        FitConfig(budget=-1)
+    assert FitConfig(budget=0).budget == 0
+
+
 def test_symmetry_breaking_keeps_large_k_tractable():
     # with symmetry breaking switched off from k=12 on, k=12 alone spent
     # minutes here; with it, both UNSAT proofs and the fit take seconds
