@@ -7,8 +7,12 @@
 //!   * `satbridge_solve` returns 10 (SAT), 20 (UNSAT) or 0 (unknown: conflict
 //!     budget or wall-clock budget exhausted), mirroring SAT-competition
 //!     exit codes;
-//!   * `satbridge_value` returns +1 / -1 / 0 for true / false / unassigned.
-//!     `satbridge_model` copies those values for every variable at once.
+//!   * `satbridge_model` copies the last model at once: +1 / -1 / 0 for
+//!     true / false / unassigned.
+//!
+//! The nine calls: `satbridge_new`, `satbridge_free`, `satbridge_add_clauses`,
+//! `satbridge_solve`, `satbridge_model`, `satbridge_conflicts`,
+//! `satbridge_max_variable`, `satbridge_signature`, `satbridge_string_free`.
 
 mod solver;
 
@@ -42,12 +46,6 @@ pub extern "C" fn satbridge_free(ptr: *mut Solver) {
             drop(Box::from_raw(ptr));
         }
     }
-}
-
-#[no_mangle]
-pub extern "C" fn satbridge_add_clause(ptr: *mut Solver, lits: *const i32, len: usize) {
-    let solver = unsafe { &mut *ptr };
-    solver.add_clause(unsafe { buffer(lits, len) });
 }
 
 /// Add many clauses from one flat buffer of zero-terminated literal runs.
@@ -90,22 +88,17 @@ pub extern "C" fn satbridge_solve(
     }
 }
 
-#[no_mangle]
-pub extern "C" fn satbridge_value(ptr: *mut Solver, lit: i32) -> i32 {
-    let solver = unsafe { &*ptr };
-    solver.value(lit)
-}
-
-/// Copy the last model in one call: `out[v]` becomes `satbridge_value(v)`
-/// for every variable `1 <= v < len`, and `out[0]` becomes 0.
+/// Copy the last model in one call: `out[v]` becomes the value of variable
+/// `v` for every `1 <= v < len`, and `out[0]` becomes 0.
 #[no_mangle]
 pub extern "C" fn satbridge_model(ptr: *mut Solver, out: *mut i8, len: usize) {
     if len == 0 {
         return;
     }
+    let solver = unsafe { &*ptr };
     let out = unsafe { slice::from_raw_parts_mut(out, len) };
     for (var, slot) in out.iter_mut().enumerate() {
-        *slot = if var == 0 { 0 } else { satbridge_value(ptr, var as i32) as i8 };
+        *slot = solver.value(var as i32) as i8;
     }
 }
 
@@ -121,12 +114,6 @@ pub extern "C" fn satbridge_conflicts(ptr: *mut Solver) -> i64 {
 pub extern "C" fn satbridge_max_variable(ptr: *mut Solver) -> i32 {
     let solver = unsafe { &*ptr };
     solver.max_variable()
-}
-
-#[no_mangle]
-pub extern "C" fn satbridge_num_clauses(ptr: *mut Solver) -> i64 {
-    let solver = unsafe { &*ptr };
-    solver.num_clauses() as i64
 }
 
 /// Owned C string with the backing solver's name and version. The caller

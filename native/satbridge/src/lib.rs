@@ -6,8 +6,12 @@
 //!   * `satbridge_solve` returns 10 (SAT), 20 (UNSAT) or 0 (unknown: conflict
 //!     budget or wall-clock budget exhausted), mirroring SAT-competition
 //!     exit codes;
-//!   * `satbridge_value` returns +1 / -1 / 0 for true / false / unassigned.
-//!     `satbridge_model` copies those values for every variable at once.
+//!   * `satbridge_model` copies the last model at once: +1 / -1 / 0 for
+//!     true / false / unassigned.
+//!
+//! The nine calls: `satbridge_new`, `satbridge_free`, `satbridge_add_clauses`,
+//! `satbridge_solve`, `satbridge_model`, `satbridge_conflicts`,
+//! `satbridge_max_variable`, `satbridge_signature`, `satbridge_string_free`.
 
 use std::ffi::CString;
 use std::os::raw::c_char;
@@ -34,13 +38,6 @@ pub extern "C" fn satbridge_free(ptr: *mut Bridge) {
             drop(Box::from_raw(ptr));
         }
     }
-}
-
-#[no_mangle]
-pub extern "C" fn satbridge_add_clause(ptr: *mut Bridge, lits: *const i32, len: usize) {
-    let bridge = unsafe { &mut *ptr };
-    let clause = unsafe { slice::from_raw_parts(lits, len) };
-    bridge.solver.add_clause(clause.iter().copied());
 }
 
 /// Add many clauses from one flat buffer of zero-terminated literal runs.
@@ -97,26 +94,22 @@ pub extern "C" fn satbridge_solve(
     }
 }
 
-#[no_mangle]
-pub extern "C" fn satbridge_value(ptr: *mut Bridge, lit: i32) -> i32 {
-    let bridge = unsafe { &*ptr };
-    match bridge.solver.value(lit) {
-        Some(true) => 1,
-        Some(false) => -1,
-        None => 0,
-    }
-}
-
-/// Copy the last model in one call: `out[v]` becomes `satbridge_value(v)`
-/// for every variable `1 <= v < len`, and `out[0]` becomes 0.
+/// Copy the last model in one call: `out[v]` becomes the value of variable
+/// `v` for every `1 <= v < len`, and `out[0]` becomes 0.
 #[no_mangle]
 pub extern "C" fn satbridge_model(ptr: *mut Bridge, out: *mut i8, len: usize) {
     if len == 0 {
         return;
     }
+    let bridge = unsafe { &*ptr };
     let out = unsafe { slice::from_raw_parts_mut(out, len) };
-    for (var, slot) in out.iter_mut().enumerate() {
-        *slot = if var == 0 { 0 } else { satbridge_value(ptr, var as i32) as i8 };
+    out[0] = 0;
+    for (var, slot) in out.iter_mut().enumerate().skip(1) {
+        *slot = match bridge.solver.value(var as i32) {
+            Some(true) => 1,
+            Some(false) => -1,
+            None => 0,
+        };
     }
 }
 
@@ -131,12 +124,6 @@ pub extern "C" fn satbridge_conflicts(_ptr: *mut Bridge) -> i64 {
 pub extern "C" fn satbridge_max_variable(ptr: *mut Bridge) -> i32 {
     let bridge = unsafe { &*ptr };
     bridge.solver.max_variable()
-}
-
-#[no_mangle]
-pub extern "C" fn satbridge_num_clauses(ptr: *mut Bridge) -> i64 {
-    let bridge = unsafe { &*ptr };
-    bridge.solver.num_clauses() as i64
 }
 
 /// Owned C string with the backing solver's name and version. The caller

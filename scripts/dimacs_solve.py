@@ -15,11 +15,13 @@ import sys
 from pathlib import Path
 
 try:
+    from alcfit.encoder import Cnf
     from alcfit.solver import NativeSession, parse_dimacs
 except ModuleNotFoundError as exc:  # not installed: use this checkout's
     if exc.name != "alcfit":
         raise
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    from alcfit.encoder import Cnf
     from alcfit.solver import NativeSession, parse_dimacs
 
 
@@ -29,10 +31,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     num_vars, clauses = parse_dimacs(Path(args.cnf).read_text(encoding="utf-8"))
-    session = NativeSession()
-    session.declare_vars(num_vars)
+    cnf = Cnf()
+    cnf.declare_vars(num_vars)
     for clause in clauses:
-        session.add_clause(clause)
+        cnf.add("dimacs", clause)
+    session = NativeSession()
+    session.add_cnf(cnf)
     outcome = session.solve()
     if outcome.status == "sat":
         print("s SATISFIABLE")

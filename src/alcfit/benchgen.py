@@ -16,8 +16,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 from .concepts import Concept, Exists, Name, Top, render_concept
-from .data import (DataError, Interpretation, Sample, merge_blocks,
-                   save_facts)
+from .data import Interpretation, Sample, merge_blocks, save_facts
 
 __all__ = [
     "gen_hitting_set_instance", "gen_depth_family", "gen_mostgeneral_family",

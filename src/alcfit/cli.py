@@ -21,8 +21,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .concepts import (ConceptError, O_ALL, dualize_concept, evaluate,
-                       format_operators, parse_concept, parse_operators,
-                       render_concept)
+                       parse_concept, parse_operators, render_concept)
 from .data import (DataError, Sample, dualize_sample,
                    interpretation_signature, load_sample, quotient,
                    save_sample)

@@ -166,7 +166,9 @@ class Cnf:
     (solver.export_dimacs).
 
     num_vars is declared by the encoding functions, not inferred per
-    literal; hand-built instances should call declare_vars.
+    literal.  A hand-built instance need not declare its variables: both
+    solver sessions and export_dimacs count the ones its clauses mention
+    beyond num_vars.
     """
 
     __slots__ = ("_parts", "_run", "num_clauses", "num_vars", "groups")

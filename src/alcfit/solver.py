@@ -12,7 +12,8 @@ seed reaches no solver yet, so the search is fixed by the clauses alone.
 Budgets are cooperative: a conflict budget or wall-clock timeout makes the
 backend give up and report "unknown", it is never killed mid-solve.  A
 timeout of zero or less means the time is already up: the solve reports
-"unknown" without searching.  ``None`` means no limit.
+"unknown" without searching.  ``None`` means no limit.  A conflict budget
+must not be negative, and only the native backend takes one.
 """
 
 from __future__ import annotations
@@ -73,11 +74,14 @@ class SolverSession:
         self.num_vars = 0
         self.num_clauses = 0
 
-    def _track(self, lits) -> None:
-        for lit in lits:
-            v = lit if lit > 0 else -lit
-            if v > self.num_vars:
-                self.num_vars = v
+    def _assumed(self, assumptions) -> list[int]:
+        """The assumptions as a list, their variables counted; 0 is no
+        literal."""
+        assumptions = list(assumptions)
+        if 0 in assumptions:
+            raise SolverError(f"literal 0 in assumptions {assumptions}")
+        self.declare_vars(max(map(abs, assumptions), default=0))
+        return assumptions
 
     def declare_vars(self, n: int) -> None:
         """Reserve variable ids up to n even if no clause mentions them."""
@@ -85,7 +89,14 @@ class SolverSession:
             self.num_vars = n
 
     def add_clause(self, lits) -> None:
-        raise NotImplementedError
+        """Add one clause: a one-clause add_cnf."""
+        lits = list(lits)
+        if not lits or 0 in lits:
+            raise SolverError(f"bad clause {lits}: a clause is a nonempty "
+                              "list of nonzero literals")
+        cnf = Cnf()
+        cnf.add("clause", lits)
+        self.add_cnf(cnf)
 
     def add_cnf(self, cnf: Cnf) -> None:
         raise NotImplementedError
@@ -127,8 +138,6 @@ def _load_library() -> ctypes.CDLL:
             "run scripts/build_native.py or use a dimacs:<cmd> backend")
     lib.satbridge_new.restype = ctypes.c_void_p
     lib.satbridge_free.argtypes = [ctypes.c_void_p]
-    lib.satbridge_add_clause.argtypes = [
-        ctypes.c_void_p, ctypes.POINTER(ctypes.c_int32), ctypes.c_size_t]
     lib.satbridge_add_clauses.argtypes = [
         ctypes.c_void_p, ctypes.POINTER(ctypes.c_int32), ctypes.c_size_t]
     lib.satbridge_add_clauses.restype = ctypes.c_int64
@@ -164,18 +173,8 @@ class NativeSession(SolverSession):
         if not self._ptr:
             raise SolverError("could not create native solver instance")
 
-    def add_clause(self, lits) -> None:
-        lits = list(lits)
-        if not lits:
-            raise SolverError("empty clause")
-        self._track(lits)
-        keep, ptr, count = _as_i32_array(lits)
-        self._lib.satbridge_add_clause(self._ptr, ptr, count)
-        self.num_clauses += 1
-
     def add_cnf(self, cnf: Cnf) -> None:
-        if cnf.num_vars > self.num_vars:
-            self.num_vars = cnf.num_vars
+        self.declare_vars(cnf.num_vars)
         # part by part, so no flat copy of the whole CNF is made; `buf`
         # keeps each part's ints alive while the solver reads them
         for buf in cnf.arrays():
@@ -190,10 +189,11 @@ class NativeSession(SolverSession):
 
     def solve(self, assumptions=(), conflict_budget: int | None = None,
               timeout: float | None = None) -> SolveOutcome:
+        if conflict_budget is not None and conflict_budget < 0:
+            raise ValueError(f"negative conflict budget {conflict_budget}")
+        assumptions = self._assumed(assumptions)
         if timeout is not None and timeout <= 0:
             return SolveOutcome(UNKNOWN, None, 0.0)
-        assumptions = list(assumptions)
-        self._track(assumptions)
         keep, ptr, count = _as_i32_array(assumptions)
         start = time.perf_counter()
         rc = self._lib.satbridge_solve(
@@ -341,14 +341,6 @@ class DimacsSession(SolverSession):
             raise SolverError("empty DIMACS backend command")
         self._cnf = Cnf()  # every clause so far, as the parts given
 
-    def add_clause(self, lits) -> None:
-        lits = list(lits)
-        if not lits:
-            raise SolverError("empty clause")
-        self._track(lits)
-        self._cnf.add("clause", lits)
-        self.num_clauses += 1
-
     def add_cnf(self, cnf: Cnf) -> None:
         self.declare_vars(cnf.num_vars)
         # a hand-built Cnf may mention variables it never declared: its
@@ -362,10 +354,11 @@ class DimacsSession(SolverSession):
 
     def solve(self, assumptions=(), conflict_budget: int | None = None,
               timeout: float | None = None) -> SolveOutcome:
+        if conflict_budget is not None:
+            raise SolverError("the DIMACS backend takes no conflict budget")
+        assumptions = self._assumed(assumptions)
         if timeout is not None and timeout <= 0:
             return SolveOutcome(UNKNOWN, None, 0.0)
-        assumptions = list(assumptions)
-        self._track(assumptions)
         total = self.num_clauses + len(assumptions)
         # a hand-built Cnf may mention variables it never declared
         pieces, num_vars = _clause_text(self._cnf, self.num_vars)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import inspect
 import itertools
+import re
 import shutil
 import sys
 import time
@@ -17,6 +19,7 @@ from alcfit.data import merge_blocks
 from alcfit.encoder import (Cnf, Gather, Rows, _add_rows, decode_model,
                             encode_fitting)
 from alcfit.fitter import encode_size
+from alcfit import solver
 from alcfit.solver import (DimacsSession, NativeSession, SolverConfig,
                            SolverError, export_dimacs, make_session,
                            parse_dimacs)
@@ -25,6 +28,8 @@ from helpers import build_encoding
 
 DIMACS_SOLVER = (f"{sys.executable} "
                  f"{Path(__file__).parent.parent / 'scripts' / 'dimacs_solve.py'}")
+BACKENDS = pytest.mark.parametrize(
+    "backend", ["native", f"dimacs:{DIMACS_SOLVER}"], ids=["native", "dimacs"])
 
 
 def pigeonhole(holes: int) -> Cnf:
@@ -75,10 +80,11 @@ def test_native_signature_names_underlying_solver():
         session.close()
 
 
-def test_add_cnf_bulk_matches_per_clause(fig1_sample):
+@BACKENDS
+def test_add_cnf_bulk_matches_per_clause(fig1_sample, backend):
     cnf, _ = build_encoding(fig1_sample, 3, O_ALL)
-    bulk = NativeSession()
-    single = NativeSession()
+    bulk = make_session(SolverConfig(backend=backend))
+    single = make_session(SolverConfig(backend=backend))
     try:
         bulk.add_cnf(cnf)
         for clause in cnf.clauses():
@@ -101,6 +107,27 @@ def test_conflict_budget_zero_gives_unknown():
         assert session.solve().status == "unsat"
     finally:
         session.close()
+
+
+def test_negative_conflict_budget_is_refused():
+    # the ABI reads a negative budget as no limit: it must not get there
+    session = NativeSession()
+    try:
+        session.add_cnf(pigeonhole(5))
+        with pytest.raises(ValueError, match="negative conflict budget"):
+            session.solve(conflict_budget=-1)
+    finally:
+        session.close()
+
+
+def test_dimacs_backend_refuses_conflict_budgets():
+    # the subprocess cannot be told a budget, so one given is not ignored
+    session = DimacsSession(DIMACS_SOLVER)
+    session.add_clause([1])
+    for budget in (0, 1000):
+        with pytest.raises(SolverError, match="no conflict budget"):
+            session.solve(conflict_budget=budget)
+    assert session.solve().status == "sat"
 
 
 def test_wall_clock_timeout_gives_unknown():
@@ -188,8 +215,7 @@ def test_native_agrees_with_brute_force(clauses, assumptions):
         session.close()
 
 
-@pytest.mark.parametrize("backend", ["native", f"dimacs:{DIMACS_SOLVER}"],
-                         ids=["native", "dimacs"])
+@BACKENDS
 def test_add_cnf_counts_undeclared_variables(backend):
     # a hand-built Cnf that never calls declare_vars still gets a model
     # covering every variable its clauses mention
@@ -208,6 +234,27 @@ def test_add_cnf_counts_undeclared_variables(backend):
         session.close()
 
 
+@BACKENDS
+def test_literal_zero_and_empty_clauses_are_refused(backend):
+    # 0 ends a clause in DIMACS and the solver ABI: inside a clause or an
+    # assumption list it would split, drop or empty what was asked
+    session = make_session(SolverConfig(backend=backend))
+    try:
+        for bad in ([1, 0, 2], [], [0]):
+            with pytest.raises(SolverError, match="bad clause"):
+                session.add_clause(bad)
+        assert session.num_clauses == 0
+        session.add_clause([1, 2])
+        with pytest.raises(SolverError, match="literal 0"):
+            session.solve(assumptions=[0])
+        with pytest.raises(SolverError, match="literal 0"):
+            session.solve(assumptions=[-1, 0, -2])
+        assert session.solve(assumptions=[-1]).status == "sat"
+        assert session.num_clauses == 1
+    finally:
+        session.close()
+
+
 def test_declare_vars_reserves_ids():
     session = NativeSession()
     try:
@@ -217,6 +264,25 @@ def test_declare_vars_reserves_ids():
         assert len(session.solve().model) == 6
     finally:
         session.close()
+
+
+def test_both_shims_and_python_agree_on_the_abi():
+    # the CaDiCaL shim is not built here: only this keeps it in step with
+    # the built-in one, with what Python binds and with the bundled library
+    root = Path(__file__).parent.parent / "native"
+    export = re.compile(
+        r'#\[no_mangle\]\s*pub extern "C" fn (satbridge_\w+)')
+    cdcl, cadical = (
+        set(export.findall((root / crate / "src" / "lib.rs").read_text()))
+        for crate in ("cdcl", "satbridge"))
+    bound = set(re.findall(r"\blib\.(satbridge_\w+)",
+                           inspect.getsource(solver._load_library)))
+    assert cdcl == cadical == bound
+    lib = solver._load_library()
+    assert all(hasattr(lib, name) for name in bound)
+    for removed in ("satbridge_add_clause", "satbridge_value",
+                    "satbridge_num_clauses"):
+        assert not hasattr(lib, removed)
 
 
 # -- DIMACS
