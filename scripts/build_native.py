@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Rebuild the Rust SAT bridge and copy it into the package tree.
 
-Run after changing native/satbridge/src/lib.rs or native/cdcl/src/:
+Run after changing native/abi/src/, native/cdcl/src/ or
+native/satbridge/src/lib.rs:
 
     python3 scripts/build_native.py [--profile release]
 
 The CaDiCaL bridge (native/satbridge) is tried first; it needs its `cadical`
 crate, which cargo fetches from the registry.  If that build fails, the
-built-in CDCL solver (native/cdcl, no dependencies) is built offline
-instead.  Both export the same C ABI; the script prints which one it used.
+built-in CDCL solver (native/cdcl, no dependencies outside native/) is built
+offline instead.  Both implement the `Backend` trait of native/abi, whose
+`satbridge_abi!` macro writes the one C ABI; the script prints which crate
+it used.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CADICAL_CRATE = ROOT / "native" / "satbridge"
 BUILTIN_CRATE = ROOT / "native" / "cdcl"
+# cargo's output directory per crate: the built-in solver is a member of the
+# native/ workspace, the CaDiCaL bridge a workspace of its own
+TARGETS = {CADICAL_CRATE: CADICAL_CRATE / "target",
+           BUILTIN_CRATE: ROOT / "native" / "target"}
 DEST = ROOT / "src" / "alcfit" / "_native"
 
 _LIB_NAMES = {
@@ -46,7 +53,7 @@ def build(crate: Path, profile: str, lib_name: str,
     except OSError as exc:
         print(f"error: cannot run cargo: {exc}", file=sys.stderr)
         return None
-    built = crate / "target" / profile / lib_name
+    built = TARGETS[crate] / profile / lib_name
     if proc.returncode != 0 or not built.exists():
         return None
     return built

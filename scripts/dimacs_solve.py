@@ -31,6 +31,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     num_vars, clauses = parse_dimacs(Path(args.cnf).read_text(encoding="utf-8"))
+    if not all(clauses):  # an empty clause: no solver needed
+        print("s UNSATISFIABLE")
+        return 20
     cnf = Cnf()
     cnf.declare_vars(num_vars)
     for clause in clauses:

@@ -337,12 +337,14 @@ def merge_blocks(blocks: list[tuple[Interpretation, list[str], list[str]]]) -> S
     negatives: list[str] = []
     for idx, (interp, pos, neg) in enumerate(blocks, start=1):
         pre = f"f{idx}:"
-        domain.extend(pre + e for e in interp.domain)
+        # one prefixed string per element, shared by every fact naming it
+        named = {e: pre + e for e in interp.domain}
+        domain.extend(named.values())
         for name, ext in interp.concept_ext.items():
-            concept_ext.setdefault(name, set()).update(pre + e for e in ext)
+            concept_ext.setdefault(name, set()).update(named[e] for e in ext)
         for role, pairs in interp.role_ext.items():
             role_ext.setdefault(role, set()).update(
-                (pre + x, pre + y) for x, y in pairs)
+                (named[x], named[y]) for x, y in pairs)
         positives.extend(pre + e for e in pos)
         negatives.extend(pre + e for e in neg)
     merged = Interpretation(domain, concept_ext, role_ext)

@@ -3,7 +3,9 @@ subprocess fallback, behind one small session contract.
 
 The native backend is a solver library behind a tiny C ABI (bundled as
 ``_native/libsatbridge.so``; rebuild with ``scripts/build_native.py``).  The
-bundled build is the built-in CDCL solver of ``native/cdcl``; a CaDiCaL
+ABI and its conventions are written once, by the ``satbridge_abi!`` macro of
+``native/abi``, over a ``Backend`` trait that each solver crate implements.
+The bundled build is the built-in CDCL solver of ``native/cdcl``; a CaDiCaL
 build from ``native/satbridge`` exports the same ABI and is used instead
 where its crate resolves.  ``NativeSession.signature()`` names the one
 loaded.  Both are deterministic for a fixed clause sequence; the configured

@@ -121,6 +121,16 @@ def test_manifest_merging_prefixes_elements(fig1_manifest):
     assert sample.interp.concept_ext["B"] == frozenset({"f1:x2", "f2:y2"})
 
 
+def test_merging_shares_one_string_per_element(fig1_manifest):
+    # the facts refer to the merged domain's own strings, not to copies
+    interp = load_sample(fig1_manifest).interp
+    own = {id(e) for e in interp.domain}
+    assert all(id(e) in own
+               for ext in interp.concept_ext.values() for e in ext)
+    assert all(id(x) in own and id(y) in own
+               for pairs in interp.role_ext.values() for x, y in pairs)
+
+
 def test_single_block_keeps_element_names(tmp_path):
     (tmp_path / "one.facts").write_text(FIG1_I, encoding="utf-8")
     (tmp_path / "one.manifest").write_text(

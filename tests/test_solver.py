@@ -4,6 +4,7 @@ import inspect
 import itertools
 import re
 import shutil
+import subprocess
 import sys
 import time
 from array import array
@@ -267,22 +268,36 @@ def test_declare_vars_reserves_ids():
 
 
 def test_both_shims_and_python_agree_on_the_abi():
-    # the CaDiCaL shim is not built here: only this keeps it in step with
-    # the built-in one, with what Python binds and with the bundled library
-    root = Path(__file__).parent.parent / "native"
-    export = re.compile(
-        r'#\[no_mangle\]\s*pub extern "C" fn (satbridge_\w+)')
-    cdcl, cadical = (
-        set(export.findall((root / crate / "src" / "lib.rs").read_text()))
-        for crate in ("cdcl", "satbridge"))
+    # the CaDiCaL shim is not built here: only this keeps it on the one ABI
+    # macro, in step with what Python binds and with the bundled library
+    native = Path(__file__).parent.parent / "native"
+    macro = (native / "abi" / "src" / "lib.rs").read_text()
+    abi = set(re.findall(r'#\[no_mangle\]\s*pub extern "C" fn (satbridge_\w+)',
+                         macro))
+    for crate in ("cdcl", "satbridge"):
+        shim = (native / crate / "src" / "lib.rs").read_text()
+        assert re.search(r"^satbridge_abi!\(\w+\);$", shim, re.MULTILINE)
+        assert "no_mangle" not in shim
     bound = set(re.findall(r"\blib\.(satbridge_\w+)",
                            inspect.getsource(solver._load_library)))
-    assert cdcl == cadical == bound
+    assert len(abi) == 9 and abi == bound
     lib = solver._load_library()
     assert all(hasattr(lib, name) for name in bound)
     for removed in ("satbridge_add_clause", "satbridge_value",
                     "satbridge_num_clauses"):
         assert not hasattr(lib, removed)
+
+
+@pytest.mark.skipif(shutil.which("cargo") is None, reason="no cargo on PATH")
+@pytest.mark.parametrize("crate", ["abi", "cdcl"])
+def test_rust_crate_tests_pass(crate):
+    # the ABI macro over a fake backend, and the built-in solver against
+    # brute force; both crates build offline
+    crate_dir = Path(__file__).parent.parent / "native" / crate
+    proc = subprocess.run(["cargo", "test", "--offline", "--quiet"],
+                          cwd=crate_dir, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # -- DIMACS
@@ -327,6 +342,15 @@ def test_parse_dimacs_round_trip(fig1_sample):
         assert session.solve().status == "sat"
     finally:
         session.close()
+
+
+def test_dimacs_solve_script_answers_unsat_on_an_empty_clause(tmp_path):
+    cnf = tmp_path / "empty.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n0\n", encoding="utf-8")
+    script = Path(__file__).parent.parent / "scripts" / "dimacs_solve.py"
+    proc = subprocess.run([sys.executable, str(script), str(cnf)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (20, "s UNSATISFIABLE\n")
 
 
 def per_clause_text(num_vars: int, clauses: list[list[int]]) -> str:
