@@ -1,8 +1,14 @@
 //! The `satbridge` C ABI, written once over a small [`Backend`] trait.
 //!
 //! A solver crate implements [`Backend`] and invokes [`satbridge_abi!`] once;
-//! the macro expands, inside that crate's cdylib, to the nine `extern "C"`
-//! calls that the Python package binds through ctypes.
+//! the macro expands, inside that crate's cdylib, to the nine
+//! `unsafe extern "C"` calls that the Python package binds through ctypes.
+//!
+//! Safety: every call but `satbridge_new` trusts its caller with raw
+//! pointers.  A backend pointer must come from `satbridge_new` and not yet
+//! be freed, a buffer pointer must be valid for the length passed with it,
+//! and a string must come from `satbridge_signature`; null is accepted only
+//! where a convention below says so.
 //!
 //! Conventions:
 //!   * literals are nonzero i32 in DIMACS sign convention, and a buffer of
@@ -65,24 +71,25 @@ pub unsafe fn buffer<'a>(ptr: *const i32, len: usize) -> &'a [i32] {
     }
 }
 
-/// The nine `satbridge_` calls over `$backend`, which implements [`Backend`].
+/// The nine `satbridge_` calls over `$backend`, which implements [`Backend`];
+/// each is `unsafe`, under the safety contract of the crate docs.
 #[macro_export]
 macro_rules! satbridge_abi {
     ($backend:ty) => {
         #[no_mangle]
-        pub extern "C" fn satbridge_new() -> *mut $backend {
+        pub unsafe extern "C" fn satbridge_new() -> *mut $backend {
             Box::into_raw(Box::new(<$backend as $crate::Backend>::new()))
         }
 
         #[no_mangle]
-        pub extern "C" fn satbridge_free(ptr: *mut $backend) {
+        pub unsafe extern "C" fn satbridge_free(ptr: *mut $backend) {
             if !ptr.is_null() {
                 drop(unsafe { Box::from_raw(ptr) });
             }
         }
 
         #[no_mangle]
-        pub extern "C" fn satbridge_add_clauses(
+        pub unsafe extern "C" fn satbridge_add_clauses(
             ptr: *mut $backend,
             lits: *const i32,
             len: usize,
@@ -99,7 +106,7 @@ macro_rules! satbridge_abi {
         }
 
         #[no_mangle]
-        pub extern "C" fn satbridge_solve(
+        pub unsafe extern "C" fn satbridge_solve(
             ptr: *mut $backend,
             assumptions: *const i32,
             alen: usize,
@@ -122,7 +129,7 @@ macro_rules! satbridge_abi {
         }
 
         #[no_mangle]
-        pub extern "C" fn satbridge_model(ptr: *mut $backend, out: *mut i8, len: usize) {
+        pub unsafe extern "C" fn satbridge_model(ptr: *mut $backend, out: *mut i8, len: usize) {
             if len == 0 {
                 return;
             }
@@ -135,17 +142,19 @@ macro_rules! satbridge_abi {
         }
 
         #[no_mangle]
-        pub extern "C" fn satbridge_conflicts(ptr: *mut $backend) -> i64 {
+        pub unsafe extern "C" fn satbridge_conflicts(ptr: *mut $backend) -> i64 {
             $crate::Backend::conflicts(unsafe { &*ptr })
         }
 
         #[no_mangle]
-        pub extern "C" fn satbridge_max_variable(ptr: *mut $backend) -> i32 {
+        pub unsafe extern "C" fn satbridge_max_variable(ptr: *mut $backend) -> i32 {
             $crate::Backend::max_variable(unsafe { &*ptr })
         }
 
         #[no_mangle]
-        pub extern "C" fn satbridge_signature(ptr: *mut $backend) -> *mut ::std::os::raw::c_char {
+        pub unsafe extern "C" fn satbridge_signature(
+            ptr: *mut $backend,
+        ) -> *mut ::std::os::raw::c_char {
             let signature = $crate::Backend::signature(unsafe { &*ptr });
             ::std::ffi::CString::new(signature)
                 .unwrap_or_default()
@@ -153,7 +162,7 @@ macro_rules! satbridge_abi {
         }
 
         #[no_mangle]
-        pub extern "C" fn satbridge_string_free(s: *mut ::std::os::raw::c_char) {
+        pub unsafe extern "C" fn satbridge_string_free(s: *mut ::std::os::raw::c_char) {
             if !s.is_null() {
                 drop(unsafe { ::std::ffi::CString::from_raw(s) });
             }

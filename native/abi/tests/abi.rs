@@ -1,5 +1,9 @@
 //! The nine calls of `satbridge_abi!`, expanded over a fake backend that
 //! records what reaches it, driven as the Python bindings drive them.
+//!
+//! Each test makes its calls in one `unsafe` block: every backend pointer
+//! it passes comes from `satbridge_new`, every buffer is a live local of
+//! the length passed with it, and null comes only where the ABI allows it.
 
 use std::ffi::CStr;
 use std::ptr;
@@ -68,74 +72,86 @@ fn seen<'a>(ptr: *mut Fake) -> &'a Fake {
 
 #[test]
 fn clauses_are_split_from_one_flat_buffer_and_counted() {
-    let ptr = satbridge_new();
-    let buf = [1, -2, 0, 3, 0, -4, 5, 6, 0];
-    assert_eq!(satbridge_add_clauses(ptr, buf.as_ptr(), buf.len()), 3);
-    assert_eq!(
-        seen(ptr).clauses,
-        vec![vec![1, -2], vec![3], vec![-4, 5, 6]]
-    );
-    assert_eq!(satbridge_max_variable(ptr), 6);
-    satbridge_free(ptr);
+    unsafe {
+        let ptr = satbridge_new();
+        let buf = [1, -2, 0, 3, 0, -4, 5, 6, 0];
+        assert_eq!(satbridge_add_clauses(ptr, buf.as_ptr(), buf.len()), 3);
+        assert_eq!(
+            seen(ptr).clauses,
+            vec![vec![1, -2], vec![3], vec![-4, 5, 6]]
+        );
+        assert_eq!(satbridge_max_variable(ptr), 6);
+        satbridge_free(ptr);
+    }
 }
 
 #[test]
 fn a_trailing_run_without_its_zero_is_dropped() {
-    let ptr = satbridge_new();
-    let buf = [1, 2, 0, 3, 4];
-    assert_eq!(satbridge_add_clauses(ptr, buf.as_ptr(), buf.len()), 1);
-    assert_eq!(seen(ptr).clauses, vec![vec![1, 2]]);
-    satbridge_free(ptr);
+    unsafe {
+        let ptr = satbridge_new();
+        let buf = [1, 2, 0, 3, 4];
+        assert_eq!(satbridge_add_clauses(ptr, buf.as_ptr(), buf.len()), 1);
+        assert_eq!(seen(ptr).clauses, vec![vec![1, 2]]);
+        satbridge_free(ptr);
+    }
 }
 
 #[test]
 fn a_null_buffer_of_length_zero_is_accepted() {
-    let ptr = satbridge_new();
-    assert_eq!(satbridge_add_clauses(ptr, ptr::null(), 0), 0);
-    assert_eq!(satbridge_solve(ptr, ptr::null(), 0, -1, 0.0), 0);
-    satbridge_model(ptr, ptr::null_mut(), 0);
-    assert!(seen(ptr).clauses.is_empty());
-    assert_eq!(seen(ptr).solves, vec![(vec![], None, None)]);
-    satbridge_free(ptr);
-    satbridge_free(ptr::null_mut());
+    unsafe {
+        let ptr = satbridge_new();
+        assert_eq!(satbridge_add_clauses(ptr, ptr::null(), 0), 0);
+        assert_eq!(satbridge_solve(ptr, ptr::null(), 0, -1, 0.0), 0);
+        satbridge_model(ptr, ptr::null_mut(), 0);
+        assert!(seen(ptr).clauses.is_empty());
+        assert_eq!(seen(ptr).solves, vec![(vec![], None, None)]);
+        satbridge_free(ptr);
+        satbridge_free(ptr::null_mut());
+    }
 }
 
 #[test]
 fn solve_answers_in_exit_codes_under_the_budget_conventions() {
-    let ptr = satbridge_new();
-    let (sat, unsat, unknown) = ([1, 2], [-1], [3]);
-    assert_eq!(satbridge_solve(ptr, sat.as_ptr(), 2, 5, 1.5), 10);
-    assert_eq!(satbridge_solve(ptr, unsat.as_ptr(), 1, 0, -1.0), 20);
-    assert_eq!(satbridge_solve(ptr, unknown.as_ptr(), 1, -7, 0.0), 0);
-    let budgets: Vec<_> = seen(ptr).solves.iter().map(|s| (s.1, s.2)).collect();
-    assert_eq!(
-        budgets,
-        vec![
-            (Some(5), Some(Duration::from_millis(1500))),
-            (Some(0), None),
-            (None, None)
-        ]
-    );
-    assert_eq!(seen(ptr).solves[0].0, vec![1, 2]);
-    satbridge_free(ptr);
+    unsafe {
+        let ptr = satbridge_new();
+        let (sat, unsat, unknown) = ([1, 2], [-1], [3]);
+        assert_eq!(satbridge_solve(ptr, sat.as_ptr(), 2, 5, 1.5), 10);
+        assert_eq!(satbridge_solve(ptr, unsat.as_ptr(), 1, 0, -1.0), 20);
+        assert_eq!(satbridge_solve(ptr, unknown.as_ptr(), 1, -7, 0.0), 0);
+        let budgets: Vec<_> = seen(ptr).solves.iter().map(|s| (s.1, s.2)).collect();
+        assert_eq!(
+            budgets,
+            vec![
+                (Some(5), Some(Duration::from_millis(1500))),
+                (Some(0), None),
+                (None, None)
+            ]
+        );
+        assert_eq!(seen(ptr).solves[0].0, vec![1, 2]);
+        satbridge_free(ptr);
+    }
 }
 
 #[test]
 fn the_model_fills_slot_zero_with_zero() {
-    let ptr = satbridge_new();
-    let mut out = [7i8; 5];
-    satbridge_model(ptr, out.as_mut_ptr(), out.len());
-    assert_eq!(out, [0, 1, -1, 1, -1]);
-    satbridge_free(ptr);
+    unsafe {
+        let ptr = satbridge_new();
+        let mut out = [7i8; 5];
+        satbridge_model(ptr, out.as_mut_ptr(), out.len());
+        assert_eq!(out, [0, 1, -1, 1, -1]);
+        satbridge_free(ptr);
+    }
 }
 
 #[test]
 fn conflicts_default_to_minus_one_and_the_signature_is_an_owned_string() {
-    let ptr = satbridge_new();
-    assert_eq!(satbridge_conflicts(ptr), -1);
-    let raw = satbridge_signature(ptr);
-    assert_eq!(unsafe { CStr::from_ptr(raw) }.to_str(), Ok("fake-0.1"));
-    satbridge_string_free(raw);
-    satbridge_string_free(ptr::null_mut());
-    satbridge_free(ptr);
+    unsafe {
+        let ptr = satbridge_new();
+        assert_eq!(satbridge_conflicts(ptr), -1);
+        let raw = satbridge_signature(ptr);
+        assert_eq!(CStr::from_ptr(raw).to_str(), Ok("fake-0.1"));
+        satbridge_string_free(raw);
+        satbridge_string_free(ptr::null_mut());
+        satbridge_free(ptr);
+    }
 }

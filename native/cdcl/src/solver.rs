@@ -763,7 +763,7 @@ impl Solver {
                 self.next_reduce = self.conflicts + 2000 + 300 * self.reductions;
                 self.reduce_db();
             }
-            if self.decisions % 256 == 0 && deadline.is_some_and(|d| Instant::now() >= d) {
+            if self.decisions.is_multiple_of(256) && deadline.is_some_and(|d| Instant::now() >= d) {
                 return Round::Done(Status::Unknown);
             }
             let mut next = None;

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -78,11 +79,10 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config(args) -> FitConfig:
-    mode = {"exact": "exact", "approx": "approximate"}[args.mode]
     return FitConfig(ops=args.ops, k_max=args.max_size,
                      budget=args.timeout, typed=not args.no_typed,
                      templates=not args.no_templates,
-                     seed=args.seed, mode=mode, backend=args.backend)
+                     seed=args.seed, backend=args.backend)
 
 
 def build_parser() -> _Parser:
@@ -183,19 +183,16 @@ def _print_fit(result: FitResult, sample: Sample) -> None:
         print(f"coverage: {result.coverage}/{sample.num_examples}")
 
 
-def _run_fit(sample: Sample, cfg: FitConfig) -> FitResult:
-    runner = approx_fit if cfg.mode == "approximate" else bounded_fit
-    return runner(sample, cfg)
-
-
 def cmd_fit(args) -> int:
     cfg = _config(args)  # check the arguments before reading any input
     if args.folds and args.folds < 2:
         raise DataError("--folds needs at least 2")
+    # the entry point is the mode
+    run_fit = approx_fit if args.mode == "approx" else bounded_fit
     sample = load_sample(args.manifest)
     if args.folds:
-        return _cross_validate(sample, cfg, args.folds)
-    result = _run_fit(sample, cfg)
+        return _cross_validate(sample, cfg, run_fit, args.folds)
+    result = run_fit(sample, cfg)
     _print_fit(result, sample)
     if args.report:
         Path(args.report).write_text(
@@ -204,7 +201,9 @@ def cmd_fit(args) -> int:
     return _STATUS_EXIT[result.status]
 
 
-def _cross_validate(sample: Sample, cfg: FitConfig, folds: int) -> int:
+def _cross_validate(sample: Sample, cfg: FitConfig,
+                    run_fit: Callable[[Sample, FitConfig], FitResult],
+                    folds: int) -> int:
     if sample.num_examples < folds:
         raise DataError("fewer examples than folds")
 
@@ -222,7 +221,7 @@ def _cross_validate(sample: Sample, cfg: FitConfig, folds: int) -> int:
         train = Sample(sample.interp,
                        tuple(e for e in sample.positives if e not in test_pos),
                        tuple(e for e in sample.negatives if e not in test_neg))
-        result = _run_fit(train, cfg)
+        result = run_fit(train, cfg)
         if result.concept is None:
             return result, None, 0, len(test_pos) + len(test_neg)
         ext = evaluate(result.concept, sample.interp)

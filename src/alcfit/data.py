@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .concepts import Signature
 
@@ -326,16 +326,27 @@ def save_facts(interp: Interpretation) -> str:
 
 def merge_blocks(blocks: list[tuple[Interpretation, list[str], list[str]]]) -> Sample:
     """Disjoint union of (interpretation, positives, negatives) blocks."""
+    return _merge(len(blocks), iter(blocks))
+
+
+def _merge(count: int,
+           blocks: Iterator[tuple[Interpretation, list[str], list[str]]],
+           ) -> Sample:
+    """merge_blocks over `count` blocks that are made one at a time: each is
+    merged before the next is asked for, and nothing here holds it after,
+    so a block's interpretation can be freed before the next is read."""
     # single block keeps its element names; several get "f<i>:" prefixes
-    if len(blocks) == 1:
-        interp, pos, neg = blocks[0]
+    if count == 1:
+        interp, pos, neg = next(blocks)
         return Sample(interp, tuple(pos), tuple(neg))
     domain: list[str] = []
     concept_ext: dict[str, set[str]] = {}
     role_ext: dict[str, set[tuple[str, str]]] = {}
     positives: list[str] = []
     negatives: list[str] = []
-    for idx, (interp, pos, neg) in enumerate(blocks, start=1):
+
+    def add(idx: int, block) -> None:
+        interp, pos, neg = block
         pre = f"f{idx}:"
         # one prefixed string per element, shared by every fact naming it
         named = {e: pre + e for e in interp.domain}
@@ -347,7 +358,13 @@ def merge_blocks(blocks: list[tuple[Interpretation, list[str], list[str]]]) -> S
                 (named[x], named[y]) for x, y in pairs)
         positives.extend(pre + e for e in pos)
         negatives.extend(pre + e for e in neg)
-    merged = Interpretation(domain, concept_ext, role_ext)
+
+    for idx in range(1, count + 1):
+        add(idx, next(blocks))
+    # freeze one extension at a time, as _parse_lines does
+    merged = Interpretation(
+        domain, {a: frozenset(concept_ext.pop(a)) for a in list(concept_ext)},
+        {r: frozenset(role_ext.pop(r)) for r in list(role_ext)})
     return Sample(merged, tuple(positives), tuple(negatives))
 
 
@@ -384,8 +401,7 @@ def load_sample(manifest_path: str | Path) -> Sample:
     if not blocks:
         raise DataError(f"{path}: no facts entries")
 
-    parsed: list[tuple[Interpretation, list[str], list[str]]] = []
-    for block in blocks:
+    def read(block: dict[str, str]):
         facts_path = base / block["facts"]
         try:
             with open(facts_path, encoding="utf-8") as fh:
@@ -402,8 +418,10 @@ def load_sample(manifest_path: str | Path) -> Sample:
             if e not in interp.domain_set:
                 raise DataError(
                     f"{path}: example element {e!r} not in {facts_path.name}")
-        parsed.append((interp, pos, neg))
-    return merge_blocks(parsed)
+        return interp, pos, neg
+
+    # each block is read only when the one before it is merged
+    return _merge(len(blocks), map(read, blocks))
 
 
 def _not_utf8(what: str, path: Path, exc: UnicodeDecodeError) -> str:

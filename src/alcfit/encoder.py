@@ -26,11 +26,14 @@ it, then those of node 2, and so on, which is level order.  Level order is
 fixed by the tree shape, so each shape keeps exactly one numbering.
 
 The elements a are those of the interpretation bound to the variable map.
-fitter.encode_size binds the sample's bisimulation quotient
-(data.quotient), so there is one z and one c row entry per class of the
-elements an example reaches, named after the class's first element; the
-variable map resolves each example to its class (VarMap.z), and examples
-that share a class keep one literal each.
+encode_syntax builds the map for size k; VarMap.bind then binds it, once,
+to the interpretation and, in typed mode, its type table, and allocates
+their rows.  The semantics and template builders take only the map and
+read k, the elements and the type table from it.  fitter.encode_size binds
+the sample's bisimulation quotient (data.quotient), so there is one z and
+one c row entry per class of the elements an example reaches, named after
+the class's first element; the variable map resolves each example to its
+class (VarMap.z), and examples that share a class keep one literal each.
 
 The label alphabet is {top, bot} + concept names + the operator labels
 permitted by the operator set (quantifier and role fused into one label,
@@ -244,7 +247,6 @@ class _CoverageState:
     literals: tuple[int, ...]
     svar: dict[tuple[int, int], int] = field(default_factory=dict)
     built_columns: int = 0
-    asserted: set[int] = field(default_factory=set)
 
 
 class VarMap:
@@ -286,7 +288,7 @@ class VarMap:
         self._c: list[list[int]] = []
         self._xt: list[list[int]] = []
         self._ell: list[int] = []
-        self._types: TypeTable | None = None
+        self.types: TypeTable | None = None
         self._coverage: _CoverageState | None = None
 
     def _alloc(self, tag: tuple) -> int:
@@ -313,19 +315,21 @@ class VarMap:
     def y2(self, i: int, j: int) -> int:
         return self._y2[(i, j)]
 
-    def bind(self, target: Interpretation | Quotient) -> None:
-        """Attach the interpretation to encode and allocate the z rows, plus
-        the child rows of nodes 1..k-1 when the alphabet has a quantifier
-        (first call).  Given a sample's quotient, the rows are its classes,
-        and z() resolves the source's elements through its row map."""
+    def bind(self, target: Interpretation | Quotient,
+             types: TypeTable | None = None) -> None:
+        """Attach the interpretation to encode, once, and allocate its rows:
+        the z rows, the child rows of nodes 1..k-1 when the alphabet has a
+        quantifier, and, given its type table, the xt and l rows of the
+        typed name semantics.  Given a sample's quotient, the rows are its
+        classes, and z() resolves the source's elements through its row
+        map."""
+        if self.interp is not None:
+            raise EncodingError("variable map already bound")
         if isinstance(target, Interpretation):
             target = Quotient(target, target, target.index)
         interp = target.interp
-        if self.interp is not None:
-            if self.interp is not interp and self.interp != interp:
-                raise EncodingError("variable map already bound to a "
-                                    "different interpretation")
-            return
+        if types is not None and set(types.type_of) != interp.domain_set:
+            raise EncodingError("type table does not cover the interpretation")
         self.interp = interp
         self.source = target.source
         self._row = target.row
@@ -337,6 +341,12 @@ class VarMap:
             self._c = [[self._alloc(("child", i, interp.domain[e]))
                         for e in range(n)]
                        for i in range(1, self.k)]
+        if types is not None:
+            self.types = types
+            self._xt = [[self._alloc(("xt", i, t))
+                         for t in range(len(types.types))]
+                        for i in range(1, self.k + 1)]
+            self._ell = [self._alloc(("l", i)) for i in range(1, self.k + 1)]
 
     def z(self, i: int, element: str) -> int:
         """z[i, row of element]; element belongs to the bound source."""
@@ -354,15 +364,6 @@ class VarMap:
         """Node i's child row; empty for node k, which has no child, and
         without quantifier labels."""
         return self._c[i - 1] if i <= len(self._c) else []
-
-    def ensure_typed(self, types: TypeTable) -> None:
-        if self._types is not None:
-            return
-        self._types = types
-        num = len(types.types)
-        self._xt = [[self._alloc(("xt", i, t)) for t in range(num)]
-                    for i in range(1, self.k + 1)]
-        self._ell = [self._alloc(("l", i)) for i in range(1, self.k + 1)]
 
     def xt(self, i: int, type_index: int) -> int:
         return self._xt[i - 1][type_index]
@@ -465,6 +466,8 @@ def encode_syntax(k: int, ops: OperatorSet, sigma: Signature,
 
 def _z_rows(vm: VarMap) -> tuple[list[array], list[array]]:
     """Each node's z row and its negation as int arrays, node i at i - 1."""
+    if vm.interp is None:
+        raise EncodingError("no interpretation bound")
     z = [array("i", vm.z_row(i)) for i in range(1, vm.k + 1)]
     return z, [array("i", map(neg, row)) for row in z]
 
@@ -517,7 +520,7 @@ def _quantifier_template(kind: str, targets: list[tuple[int, ...]],
     return idx
 
 
-def _non_name_semantics(cnf: Cnf, vm: VarMap, interp: Interpretation,
+def _non_name_semantics(cnf: Cnf, vm: VarMap,
                         z: list[array], nz: list[array]) -> None:
     """Semantics clauses for top/bot and all operator labels (shared by the
     base and typed encodings): one block per (node, child) for negation,
@@ -526,6 +529,7 @@ def _non_name_semantics(cnf: Cnf, vm: VarMap, interp: Interpretation,
     SEM = "semantics"
     CHILD = "semantics.child"
     k = vm.k
+    interp = vm.interp
     n = len(interp.domain)
     dom = interp.domain
 
@@ -592,18 +596,14 @@ def _non_name_semantics(cnf: Cnf, vm: VarMap, interp: Interpretation,
                               Gather(array("i", (0, -xv)), src_rows, idx))
 
 
-def encode_semantics_base(k: int, interp: Interpretation | Quotient,
-                          vm: VarMap) -> Cnf:
-    """Per-element name semantics: one clause per (node, name, element).
-    Given a quotient, its classes are the elements (VarMap.bind)."""
-    if vm.k != k:
-        raise EncodingError("variable map built for a different size bound")
-    vm.bind(interp)
-    interp = vm.interp
+def encode_semantics_base(vm: VarMap) -> Cnf:
+    """Per-element name semantics: one clause per (node, name, element) of
+    the interpretation bound to vm (VarMap.bind)."""
+    z, nz = _z_rows(vm)
+    k, interp = vm.k, vm.interp
     cnf = Cnf()
     NAMES = "semantics.names"
     n = len(interp.domain)
-    z, nz = _z_rows(vm)
     name_labels = [lab for lab in vm.labels if lab[0] == "name"]
     sign = {}  # name label -> +1 inside its extension, -1 outside
     for lab in name_labels:
@@ -615,29 +615,24 @@ def encode_semantics_base(k: int, interp: Interpretation | Quotient,
             # (-x, z) inside the extension, (-x, -z) outside
             signed = array("i", map(mul, z[i - 1], sign[lab]))
             _add_rows(cnf, NAMES, n, (-vm.x(i, lab), signed))
-    _non_name_semantics(cnf, vm, interp, z, nz)
+    _non_name_semantics(cnf, vm, z, nz)
     cnf.declare_vars(vm.num_vars)
     return cnf
 
 
-def encode_semantics_typed(k: int, interp: Interpretation | Quotient,
-                           vm: VarMap, types: TypeTable) -> Cnf:
+def encode_semantics_typed(vm: VarMap) -> Cnf:
     """Name semantics through element types: k*|T|*|names| label-to-type
-    clauses plus 2*k*|domain| type-row clauses.  Given a quotient, its
-    classes are the elements (VarMap.bind) and `types` is its table."""
-    if vm.k != k:
-        raise EncodingError("variable map built for a different size bound")
-    vm.bind(interp)
-    interp = vm.interp
-    if set(types.type_of) != interp.domain_set:
-        raise EncodingError("type table does not cover the interpretation")
-    vm.ensure_typed(types)
+    clauses plus 2*k*|domain| type-row clauses, over the interpretation and
+    type table bound to vm (VarMap.bind)."""
+    z, nz = _z_rows(vm)
+    k, interp, types = vm.k, vm.interp, vm.types
+    if types is None:
+        raise EncodingError("variable map bound without a type table")
     cnf = Cnf()
     add = cnf.add
     NAMES = "semantics.names"
     NAMEHOOD = "semantics.namehood"
     n = len(interp.domain)
-    z, nz = _z_rows(vm)
     name_labels = [lab for lab in vm.labels if lab[0] == "name"]
     type_of = [types.type_of[a] for a in interp.domain]
 
@@ -658,7 +653,7 @@ def encode_semantics_typed(k: int, interp: Interpretation | Quotient,
         add(NAMEHOOD, [-lv] + name_vars)
         for xv in name_vars:
             add(NAMEHOOD, (-xv, lv))
-    _non_name_semantics(cnf, vm, interp, z, nz)
+    _non_name_semantics(cnf, vm, z, nz)
     cnf.declare_vars(vm.num_vars)
     return cnf
 
@@ -720,9 +715,7 @@ def encode_coverage_at_least(sample: Sample, m: int, vm: VarMap) -> Cnf:
                 else:
                     add(CARD, (-sv, below, diag))
     state.built_columns = max(state.built_columns, m)
-    if m not in state.asserted:
-        add(CARD, (svar[(q, m)],))
-        state.asserted.add(m)
+    add(CARD, (svar[(q, m)],))
     cnf.declare_vars(vm.num_vars)
     return cnf
 
@@ -737,7 +730,7 @@ def pattern_bans_active(ops: OperatorSet, sigma: Signature) -> bool:
     return ops == O_ALL and bool(sigma.role_names)
 
 
-def encode_templates(k: int, vm: VarMap, bans: bool | None = None) -> Cnf:
+def encode_templates(vm: VarMap, bans: bool | None = None) -> Cnf:
     """Level-order symmetry breaking plus pattern bans.
 
     Symmetry breaking asks parent(j) <= parent(j+1) for 2 <= j < k, as
@@ -749,8 +742,7 @@ def encode_templates(k: int, vm: VarMap, bans: bool | None = None) -> Cnf:
     forbid locally rewritable syntax where that is satisfiability-safe
     (see pattern_bans_active); bans=None applies that policy.
     """
-    if vm.k != k:
-        raise EncodingError("variable map built for a different size bound")
+    k = vm.k
     cnf = Cnf()
     add = cnf.add
     TMP = "template"

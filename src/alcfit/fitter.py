@@ -1,17 +1,18 @@
 """Minimum-size fitting by iterative deepening over exact-size encodings,
 plus the anytime coverage-maximization variant.
 
-Both modes are one loop (_fit).  It first takes the sample's bisimulation
-quotient (data.quotient): no concept tells bisimilar elements apart, or
-reads an element no example reaches, so every z row and semantics block is
-built per class of reachable elements, not per domain element, and the
-names that share an extension on the classes share one label
-(folded_signature).  In exact mode a positive and a negative example in
-one class end the run at once (no_fit_within_bound, with the pair as
-FitResult.reason).  Then, for k = 1, 2, ..., k_max, it takes the size-k
-encoding from encode_size, the one place that assembles syntax, semantics
-and symmetry-breaking clauses, opens one solver session on it and adds the
-mode's goal:
+Both modes are one loop (_fit), and the entry point is the mode:
+bounded_fit runs it exact, approx_fit approximate, over the same FitConfig.
+It first takes the sample's bisimulation quotient (data.quotient): no
+concept tells bisimilar elements apart, or reads an element no example
+reaches, so every z row and semantics block is built per class of
+reachable elements, not per domain element, and the names that share an
+extension on the classes share one label (folded_signature).  In exact
+mode a positive and a negative example in one class end the run at once
+(no_fit_within_bound, with the pair as FitResult.reason).  Then, for
+k = 1, 2, ..., k_max, it takes the size-k encoding from encode_size, the
+one place that assembles syntax, semantics and symmetry-breaking clauses,
+opens one solver session on it and adds the mode's goal:
 
 - exact mode adds the fitting units once; the first satisfiable k is
   minimal by construction, and an unsatisfiable k moves on to k+1;
@@ -65,7 +66,6 @@ class FitConfig:
     typed: bool = True
     templates: bool = True
     seed: int = 0
-    mode: str = "exact"               # exact | approximate
     backend: str = "native"
 
     def __post_init__(self) -> None:
@@ -73,8 +73,6 @@ class FitConfig:
             raise ValueError("k_max must be at least 1")
         if self.budget is not None and self.budget < 0:
             raise ValueError("budget must be at least 0")
-        if self.mode not in ("exact", "approximate"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -152,21 +150,24 @@ def encode_size(sample: Sample, k: int, ops: OperatorSet = O_ALL, *,
     folded_signature's, one per distinct extension on the classes; decoding
     names the kept one.  typed uses the type-table name semantics; `types`,
     the quotient interpretation's table, is computed here when not given.
-    Every semantics block is kept as a recipe over shared rows
-    (encoder.Cnf), so the counts are those of the clauses that a solver
-    reads and DIMACS export renders.
+    The map is bound once, to the quotient and (typed) its table, right
+    after the syntax; the semantics and template builders read k, the rows
+    and the table from it.  Every semantics block is kept as a recipe over
+    shared rows (encoder.Cnf), so the counts are those of the clauses that
+    a solver reads and DIMACS export renders.
     """
     if quotient is None:
         quotient = sample_quotient(sample)
     cnf, vm = encode_syntax(k, ops, folded_signature(sample, quotient))
-    if typed:
-        if types is None:
-            types = compute_types(quotient.interp)
-        cnf.absorb(encode_semantics_typed(k, quotient, vm, types))
-    else:
-        cnf.absorb(encode_semantics_base(k, quotient, vm))
+    if not typed:
+        types = None
+    elif types is None:
+        types = compute_types(quotient.interp)
+    vm.bind(quotient, types)
+    cnf.absorb(encode_semantics_typed(vm) if typed
+               else encode_semantics_base(vm))
     if templates:
-        cnf.absorb(encode_templates(k, vm, bans=bans))
+        cnf.absorb(encode_templates(vm, bans=bans))
     return cnf, vm
 
 
@@ -233,14 +234,11 @@ def bisimilar_reason(sample: Sample, q: Quotient) -> str | None:
     return None
 
 
-def _fit(sample: Sample, cfg: FitConfig, mode: str) -> FitResult:
+def _fit(sample: Sample, cfg: FitConfig, exact: bool) -> FitResult:
     """The k loop of both modes; see the module docstring."""
-    if cfg.mode != mode:
-        raise ValueError(f"configuration mode {cfg.mode!r}; expected {mode!r}")
     total = sample.num_examples
     if total == 0:
         return FitResult(FITTED, Top(), coverage=0, size=1)
-    exact = mode == "exact"
     deadline = (None if cfg.budget is None
                 else time.monotonic() + cfg.budget)
     q = sample_quotient(sample)
@@ -304,10 +302,9 @@ def _fit(sample: Sample, cfg: FitConfig, mode: str) -> FitResult:
 
 def bounded_fit(sample: Sample, cfg: FitConfig = FitConfig()) -> FitResult:
     """Smallest-size exact fitting within cfg.k_max, or why there is none."""
-    return _fit(sample, cfg, "exact")
+    return _fit(sample, cfg, exact=True)
 
 
-def approx_fit(sample: Sample, cfg: FitConfig = FitConfig(mode="approximate"),
-               ) -> FitResult:
+def approx_fit(sample: Sample, cfg: FitConfig = FitConfig()) -> FitResult:
     """Anytime coverage maximization; see the module docstring."""
-    return _fit(sample, cfg, "approximate")
+    return _fit(sample, cfg, exact=False)

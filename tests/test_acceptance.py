@@ -221,12 +221,12 @@ def test_criterion_6_type_clause_arithmetic():
         assert len(types.types) == 105
         k = 4
         _, vm = encode_syntax(k, O_ALL, interpretation_signature(interp))
-        vm.bind(interp)
-        typed = encode_semantics_typed(k, interp, vm, types)
+        vm.bind(interp, types)
+        typed = encode_semantics_typed(vm)
         assert typed.group_total("semantics.names") == 209_628
         assert typed.group_total("semantics.names") == \
             k * 105 * 133 + k * 19221 * 2
-        base = encode_semantics_base(k, interp, vm)
+        base = encode_semantics_base(vm)
         assert base.group_total("semantics.names") == 10_225_572
         assert base.group_total("semantics.names") == k * 19221 * 133
         assert base.group_total("semantics.names") > 10_000_000
@@ -239,7 +239,7 @@ def test_criterion_7_approximation_anytime_contract():
         for si in (1, 2, 3):
             cases.append(_duplicate_first_positive(corpus_samples(200)[si]))
         for sample in cases:
-            cfg = FitConfig(mode="approximate", k_max=5)
+            cfg = FitConfig(k_max=5)
             result = approx_fit(sample, cfg)
             assert result.status == APPROXIMATE
             assert result.status != FITTED

@@ -210,10 +210,8 @@ def test_streamed_loading_agrees_with_text_loading(tmp_path_factory, lines,
     assert got == expected  # Interpretation equality compares domain order
 
 
-def test_loading_holds_no_copy_of_the_file(tmp_path):
-    # the type grid of the encode-names benchmark: a 1.2 MB fact file
-    manifest = save_sample(Sample(gen_type_grid(19221, 133, 105), (), ()),
-                           tmp_path)
+def _traced_load(manifest):
+    """load_sample(manifest) with the bytes it keeps and its peak."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -221,8 +219,25 @@ def test_loading_holds_no_copy_of_the_file(tmp_path):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return sample, kept, peak
+
+
+def test_loading_holds_no_copy_of_the_file(tmp_path):
+    # the type grid of the encode-names benchmark: a 1.2 MB fact file
+    manifest = save_sample(Sample(gen_type_grid(19221, 133, 105), (), ()),
+                           tmp_path)
+    sample, kept, peak = _traced_load(manifest)
     assert len(sample.interp.domain) == 19221
     assert peak <= 1.25 * kept, (peak, kept)
+    # two blocks naming the file: each is merged before the next is read,
+    # so the peak exceeds what the merged sample keeps by at most one
+    # block's load
+    two = tmp_path / "two.manifest"
+    two.write_text("facts = sample.facts\nfacts = sample.facts\n",
+                   encoding="utf-8")
+    merged, merged_kept, merged_peak = _traced_load(two)
+    assert len(merged.interp.domain) == 2 * 19221
+    assert merged_peak <= merged_kept + peak, (merged_peak, merged_kept, peak)
 
 
 # -- duality and types

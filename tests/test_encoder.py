@@ -21,7 +21,7 @@ from alcfit.fitter import encode_size
 from alcfit.oracle import enumerate_concepts, exact_fit_profile
 from alcfit.solver import make_session
 
-from helpers import (build_encoding, corpus_samples, encoding_sat, fig1,
+from helpers import (build_encoding, corpus_samples, encoding_sat,
                      quantifier_fragments, solve_encoding)
 
 EL = frozenset({"exists", "and"})
@@ -187,13 +187,13 @@ def test_name_semantics_clause_counts(fig1_sample):
 
     _, vm = encode_syntax(k, O_ALL, sigma)
     vm.bind(interp)
-    base = encode_semantics_base(k, interp, vm)
+    base = encode_semantics_base(vm)
     assert base.group_total("semantics.names") == k * n * names == 28
     assert base.group_total("semantics.namehood") == 0
 
     _, vm2 = encode_syntax(k, O_ALL, sigma)
-    vm2.bind(interp)
-    typed = encode_semantics_typed(k, interp, vm2, types)
+    vm2.bind(interp, types)
+    typed = encode_semantics_typed(vm2)
     assert typed.group_total("semantics.names") == (
         k * len(types) * names + 2 * k * n) == 40
     # namehood: per node, one long clause plus one per name
@@ -257,7 +257,7 @@ def test_child_row_and_quantifier_clause_counts():
                            (frozenset({"exists", "forall"}), top_bot)):
         _, vm = encode_syntax(k, ops, sigma)
         vm.bind(interp)
-        groups = encode_semantics_base(k, interp, vm).groups
+        groups = encode_semantics_base(vm).groups
         assert groups["semantics.child"] == 2 * n * k * (k - 1) // 2
         assert groups["semantics"] == semantics + (k - 1) * quantifier
 
@@ -271,7 +271,7 @@ def test_child_row_and_quantifier_clause_counts():
         sig = interpretation_signature(smp.interp)
         _, vm = encode_syntax(k, ops, sig)
         vm.bind(smp.interp)
-        cnf = encode_semantics_base(k, smp.interp, vm)
+        cnf = encode_semantics_base(vm)
         without_child_rows = (k * len(vm.labels) + k * (k - 1) // 2
                               + (k - 1) * (k - 2) // 2 + k * n)
         if child_rows:
@@ -288,11 +288,17 @@ def test_var_map_guards(fig1_sample):
     vm = VarMap(2, O_ALL, sigma)
     with pytest.raises(EncodingError):
         vm.z(1, "f1:a1")
+    with pytest.raises(EncodingError, match="no interpretation bound"):
+        encode_semantics_base(vm)
     vm.bind(fig1_sample.interp)
-    vm.bind(fig1().interp)  # equal value is fine
-    other = corpus_samples(1)[0].interp
-    with pytest.raises(EncodingError):
-        vm.bind(other)
+    with pytest.raises(EncodingError, match="already bound"):
+        vm.bind(fig1_sample.interp)  # a map is bound once
+    with pytest.raises(EncodingError, match="without a type table"):
+        encode_semantics_typed(vm)
+    typed = VarMap(2, O_ALL, sigma)
+    other = compute_types(corpus_samples(1)[0].interp)
+    with pytest.raises(EncodingError, match="does not cover"):
+        typed.bind(fig1_sample.interp, other)
 
 
 # -- fitting units and coverage counter
@@ -350,7 +356,7 @@ def _model_shapes(k, ops, sigma=ROLE_SIGMA) -> list[tuple[int, ...]]:
     symmetry-breaking clauses, projected onto the y variables: each model
     found is blocked on its y values and the solver asked again."""
     cnf, vm = encode_syntax(k, ops, sigma)
-    cnf.absorb(encode_templates(k, vm, bans=False))
+    cnf.absorb(encode_templates(vm, bans=False))
     ys = list(vm._y1.values()) + list(vm._y2.values())
     shapes = []
     session = make_session()
@@ -440,7 +446,7 @@ def test_symmetry_breaking_stays_on_at_large_k(fig1_sample):
     sigma = interpretation_signature(fig1_sample.interp)
     for k in (12, 15):
         cnf, vm = encode_syntax(k, O_ALL, sigma)
-        tpl = encode_templates(k, vm)
+        tpl = encode_templates(vm)
         y2 = (k - 1) * (k - 2) // 2
         y1 = k * (k - 1) // 2
         assert tpl.group_total("template") > 6 * y2 + y1, k
@@ -449,7 +455,7 @@ def test_symmetry_breaking_stays_on_at_large_k(fig1_sample):
         for ops, sig in ((O_ALL, sigma), (frozenset({"neg"}), sigma),
                          (EL, ROLE_SIGMA)):
             _, other = encode_syntax(k, ops, sig)
-            counts.add(encode_templates(k, other, bans=False).num_clauses)
+            counts.add(encode_templates(other, bans=False).num_clauses)
         assert len(counts) == 1, k
 
 

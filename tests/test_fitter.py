@@ -18,6 +18,7 @@ from alcfit.fitter import (APPROXIMATE, FITTED, K_HORIZON,
                            NO_FIT_WITHIN_BOUND, TIMED_OUT, FitConfig,
                            approx_fit, bounded_fit, verify)
 from alcfit.oracle import exact_fit_profile, max_coverage
+from alcfit.solver import make_session
 
 from helpers import corpus_samples, quantifier_fragments
 
@@ -64,7 +65,7 @@ def test_encoding_variants_agree(fig1_sample):
 
 
 def test_approx_reaches_exact_answer(fig1_sample):
-    cfg = FitConfig(mode="approximate", k_max=6)
+    cfg = FitConfig(k_max=6)
     result = approx_fit(fig1_sample, cfg)
     assert result.status == FITTED
     assert result.coverage == 3
@@ -76,7 +77,7 @@ def test_approx_reaches_exact_answer(fig1_sample):
 
 
 def test_approx_on_contradictory_sample(contra_sample):
-    cfg = FitConfig(mode="approximate", k_max=4)
+    cfg = FitConfig(k_max=4)
     result = approx_fit(contra_sample, cfg)
     assert result.status == APPROXIMATE
     assert result.coverage == contra_sample.num_examples - 1 == 1
@@ -85,7 +86,7 @@ def test_approx_on_contradictory_sample(contra_sample):
 
 
 def test_approx_coverage_carries_over_k(contra_sample):
-    result = approx_fit(contra_sample, FitConfig(mode="approximate", k_max=3))
+    result = approx_fit(contra_sample, FitConfig(k_max=3))
     # best coverage is already reached at k=1; later k never report less
     ms = [s.best_m for s in result.per_k if s.best_m is not None]
     assert ms and all(m >= ms[0] for m in ms)
@@ -96,7 +97,7 @@ def test_exact_and_approx_agree_on_corpus():
     # stop there, elsewhere it must reach the oracle's best coverage
     for sample in corpus_samples()[:30]:
         exact = bounded_fit(sample, FitConfig(k_max=5))
-        approx = approx_fit(sample, FitConfig(mode="approximate", k_max=5))
+        approx = approx_fit(sample, FitConfig(k_max=5))
         if exact.status == FITTED:
             assert (approx.status, approx.size) == (FITTED, exact.size)
         else:
@@ -127,8 +128,7 @@ def test_fits_on_the_quotient_match_the_oracle(seed, elements, names, roles,
     minimum = profile.index(True) + 1 if True in profile else None
     assert exact.size == minimum
     assert exact.classes <= len(sample.interp.domain)
-    approx = approx_fit(sample, FitConfig(ops=ops, k_max=5,
-                                          mode="approximate"))
+    approx = approx_fit(sample, FitConfig(ops=ops, k_max=5))
     for stat in approx.per_k:
         assert stat.best_m == max_coverage(sample, ops, stat.k)[0], stat.k
 
@@ -161,8 +161,7 @@ def test_fits_with_redundant_names_match_the_oracle(seed, elements, names,
     minimum = profile.index(True) + 1 if True in profile else None
     assert exact.size == minimum
     assert exact.names <= len(interp.concept_ext)
-    approx = approx_fit(padded, FitConfig(ops=ops, k_max=5,
-                                          mode="approximate"))
+    approx = approx_fit(padded, FitConfig(ops=ops, k_max=5))
     for stat in approx.per_k:
         assert stat.best_m == max_coverage(sample, ops, stat.k)[0], stat.k
 
@@ -188,8 +187,7 @@ def test_bisimilar_examples_end_an_exact_run(contra_sample, monkeypatch):
                              "no concept separates them")
     # approximate mode still counts the examples of the merged class
     monkeypatch.undo()
-    approx = approx_fit(contra_sample, FitConfig(mode="approximate",
-                                                 k_max=2))
+    approx = approx_fit(contra_sample, FitConfig(k_max=2))
     assert approx.coverage == 1 and approx.reason is None
 
 
@@ -209,13 +207,20 @@ def test_approx_slice_starts_after_the_encoding(contra_sample, monkeypatch):
         return built
     monkeypatch.setattr(alcfit.fitter, "encode_size", slow_encode_size)
     start = time.monotonic()
-    result = approx_fit(contra_sample, FitConfig(mode="approximate",
-                                                 k_max=6, budget=budget))
+    result = approx_fit(contra_sample, FitConfig(k_max=6, budget=budget))
     assert result.status == TIMED_OUT
     in_time = [stat for stat, end in zip(result.per_k, ends)
                if end < start + budget - 0.1]
     assert len(in_time) >= 2
-    assert all(stat.conflicts is not None for stat in in_time)
+    # coverage 2 is out of reach at every size, so a solved k ends unsat;
+    # a solve skipped at zero budget would read unknown
+    assert all(stat.status == "unsat" for stat in in_time)
+    # where the loaded backend counts conflicts, each of those k counted some
+    with make_session() as session:
+        session.add_clause([1])
+        counted = session.solve().conflicts is not None
+    if counted:
+        assert all(stat.conflicts is not None for stat in in_time)
 
 
 def test_verify_report_examples(fig1_sample):
@@ -233,9 +238,8 @@ def test_verify_report_examples(fig1_sample):
 def test_empty_sample_fits_trivially():
     interp = load_facts("element e\n")
     sample = Sample(interp, (), ())
-    for runner, mode in ((bounded_fit, "exact"),
-                        (approx_fit, "approximate")):
-        result = runner(sample, FitConfig(mode=mode, k_max=3))
+    for runner in (bounded_fit, approx_fit):
+        result = runner(sample, FitConfig(k_max=3))
         assert result.status == FITTED
         assert result.concept == Top()
         assert result.size == 1
@@ -263,23 +267,13 @@ def test_budget_exhaustion_times_out():
     sample, k_prime, _ = gen_hitting_set_instance([{1}, {2}, {3, 4, 5}], 3)
     result = bounded_fit(sample, FitConfig(k_max=k_prime, budget=1e-4))
     assert result.status == TIMED_OUT
-    result = approx_fit(sample, FitConfig(mode="approximate", k_max=k_prime,
-                                          budget=1e-4))
+    result = approx_fit(sample, FitConfig(k_max=k_prime, budget=1e-4))
     assert result.status == TIMED_OUT
-
-
-def test_mode_mismatch_rejected(fig1_sample):
-    with pytest.raises(ValueError):
-        bounded_fit(fig1_sample, FitConfig(mode="approximate"))
-    with pytest.raises(ValueError):
-        approx_fit(fig1_sample, FitConfig(mode="exact"))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         FitConfig(k_max=0)
-    with pytest.raises(ValueError):
-        FitConfig(mode="anytime")
 
 
 def test_subprocess_backend_end_to_end(fig1_sample):

@@ -272,8 +272,9 @@ def test_both_shims_and_python_agree_on_the_abi():
     # macro, in step with what Python binds and with the bundled library
     native = Path(__file__).parent.parent / "native"
     macro = (native / "abi" / "src" / "lib.rs").read_text()
-    abi = set(re.findall(r'#\[no_mangle\]\s*pub extern "C" fn (satbridge_\w+)',
-                         macro))
+    abi = set(re.findall(
+        r'#\[no_mangle\]\s*pub (?:unsafe )?extern "C" fn (satbridge_\w+)',
+        macro))
     for crate in ("cdcl", "satbridge"):
         shim = (native / crate / "src" / "lib.rs").read_text()
         assert re.search(r"^satbridge_abi!\(\w+\);$", shim, re.MULTILINE)
@@ -295,6 +296,27 @@ def test_rust_crate_tests_pass(crate):
     # brute force; both crates build offline
     crate_dir = Path(__file__).parent.parent / "native" / crate
     proc = subprocess.run(["cargo", "test", "--offline", "--quiet"],
+                          cwd=crate_dir, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _has_clippy() -> bool:
+    if shutil.which("cargo") is None:
+        return False
+    proc = subprocess.run(["cargo", "clippy", "--version"],
+                          capture_output=True, text=True)
+    return proc.returncode == 0
+
+
+@pytest.mark.skipif(not _has_clippy(), reason="no cargo clippy installed")
+@pytest.mark.parametrize("crate", ["abi", "cdcl"])
+def test_rust_crates_are_clippy_clean(crate):
+    # the C calls dereference raw pointers, so clippy asks for them to be
+    # unsafe; tests and library alike build with no warning
+    crate_dir = Path(__file__).parent.parent / "native" / crate
+    proc = subprocess.run(["cargo", "clippy", "--offline", "--all-targets",
+                           "--", "-D", "warnings"],
                           cwd=crate_dir, capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
