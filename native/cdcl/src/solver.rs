@@ -205,7 +205,7 @@ pub struct Solver {
     stamp: u64,
     model: Vec<i8>, // by variable, from the last satisfiable solve
     assumptions: Vec<Lit>,
-    added: u64,   // original clauses handed to `add_clause`
+    added: u64, // original clauses handed to `add_clause`
     next_reduce: u64,
     reductions: u64,
     conflicts: u64,
@@ -360,7 +360,10 @@ impl Solver {
 
     fn alloc(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> CRef {
         let c = self.arena.len();
-        assert!(c + HEADER + lits.len() < NO_REASON as usize, "clause arena full");
+        assert!(
+            c + HEADER + lits.len() < NO_REASON as usize,
+            "clause arena full"
+        );
         self.arena.push(lits.len() as u32);
         self.arena.push(lbd << 2 | if learnt { LEARNT } else { 0 });
         self.arena.push(0f32.to_bits());
@@ -370,8 +373,14 @@ impl Solver {
 
     fn watch(&mut self, c: CRef) {
         let (a, b) = (self.lit_at(c, 0), self.lit_at(c, 1));
-        self.watches[a.idx()].push(Watcher { cref: c, blocker: b });
-        self.watches[b.idx()].push(Watcher { cref: c, blocker: a });
+        self.watches[a.idx()].push(Watcher {
+            cref: c,
+            blocker: b,
+        });
+        self.watches[b.idx()].push(Watcher {
+            cref: c,
+            blocker: a,
+        });
     }
 
     fn locked(&self, c: CRef) -> bool {
@@ -448,7 +457,10 @@ impl Solver {
                     self.arena.swap(c + HEADER, c + HEADER + 1);
                 }
                 let first = Lit(self.arena[c + HEADER]);
-                let kept = Watcher { cref: w.cref, blocker: first };
+                let kept = Watcher {
+                    cref: w.cref,
+                    blocker: first,
+                };
                 if first != w.blocker && self.value_of(first) == TRUE {
                     ws[j] = kept;
                     j += 1;
@@ -848,7 +860,11 @@ mod tests {
                 (0..1 + rng.below(3))
                     .map(|_| {
                         let v = 1 + rng.below(vars) as i32;
-                        if rng.below(2) == 0 { v } else { -v }
+                        if rng.below(2) == 0 {
+                            v
+                        } else {
+                            -v
+                        }
                     })
                     .collect()
             })
@@ -868,8 +884,9 @@ mod tests {
 
     fn pigeonhole(holes: i32) -> Vec<Vec<i32>> {
         let var = |p: i32, h: i32| p * holes + h + 1;
-        let mut cnf: Vec<Vec<i32>> =
-            (0..=holes).map(|p| (0..holes).map(|h| var(p, h)).collect()).collect();
+        let mut cnf: Vec<Vec<i32>> = (0..=holes)
+            .map(|p| (0..holes).map(|h| var(p, h)).collect())
+            .collect();
         for h in 0..holes {
             for p in 0..=holes {
                 for q in p + 1..=holes {
@@ -901,7 +918,11 @@ mod tests {
                 for assumptions in [&[][..], &assumed[..]] {
                     let expected = brute_force(prefix, vars, assumptions);
                     let got = solver.solve(assumptions, None, None);
-                    assert_eq!(got == Status::Sat, expected, "{prefix:?} under {assumptions:?}");
+                    assert_eq!(
+                        got == Status::Sat,
+                        expected,
+                        "{prefix:?} under {assumptions:?}"
+                    );
                     assert_ne!(got, Status::Unknown);
                     if got == Status::Sat {
                         let holds = |l: i32| solver.value(l) > 0;
@@ -923,7 +944,10 @@ mod tests {
         assert_eq!(solver.last_conflicts(), 1);
         assert_eq!(solver.solve(&[], Some(10), None), Status::Unknown);
         assert_eq!(solver.last_conflicts(), 11);
-        assert_eq!(solver.solve(&[], None, Some(Duration::ZERO)), Status::Unknown);
+        assert_eq!(
+            solver.solve(&[], None, Some(Duration::ZERO)),
+            Status::Unknown
+        );
         assert_eq!(solver.solve(&[], None, None), Status::Unsat);
         assert_eq!(solver.solve(&[], None, None), Status::Unsat);
     }
@@ -945,7 +969,10 @@ mod tests {
         assert_eq!(solver.value(1), 0);
         solver.add_clause(&[1, 2]);
         assert_eq!(solver.solve(&[-1], None, None), Status::Sat);
-        assert_eq!((solver.value(1), solver.value(2), solver.value(-2)), (-1, 1, -1));
+        assert_eq!(
+            (solver.value(1), solver.value(2), solver.value(-2)),
+            (-1, 1, -1)
+        );
         assert_eq!(solver.value(3), 0);
         solver.add_clause(&[-2]);
         assert_eq!(solver.solve(&[], None, None), Status::Sat);

@@ -8,8 +8,13 @@ Fact file format (UTF-8, one item per line):
     # ...           comment; blank lines ignored
 
 Lines are those of str.splitlines, so error line numbers count them that
-way.  load_sample reads each fact file in batches of whole lines, so
-loading needs memory of the order of the interpretation, not of the file.
+way.  load_sample reads each fact file in chunks of _BATCH characters,
+carrying a line that a chunk cuts into the next one, so loading needs
+memory of the order of the interpretation, not of the file.  A line in
+one of the exact forms save_facts writes (`A(e)`, `r(e,f)`, `element e`:
+no whitespace, no comment) whose names and elements are already known is
+read by a shortcut ahead of the general parser; every other line, and
+every error, takes the general path.
 
 A sample manifest is structured text with repeatable blocks, one per fact
 file; a new block starts at each `facts =` line:
@@ -149,7 +154,8 @@ class Example:
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """One shared interpretation with disjoint positive/negative elements."""
+    """One shared interpretation with positive and negative elements: each
+    listed once, none listed as both."""
 
     interp: Interpretation
     positives: tuple[str, ...]
@@ -157,6 +163,12 @@ class Sample:
 
     def __post_init__(self) -> None:
         pos, neg = set(self.positives), set(self.negatives)
+        for kind, listed, distinct in (("positive", self.positives, pos),
+                                       ("negative", self.negatives, neg)):
+            if len(listed) != len(distinct):
+                twice = {e for e in listed if listed.count(e) > 1}
+                raise DataError(f"elements listed twice as {kind}: "
+                                f"{', '.join(sorted(twice))}")
         both = pos & neg
         if both:
             raise DataError(
@@ -211,8 +223,10 @@ def _check_ident(name: str, what: str, lineno: int) -> None:
         raise DataError(f"line {lineno}: {what} identifier {name!r} is reserved")
 
 
-# characters per batch of whole lines that load_sample reads from a fact file
+# characters per chunk that load_sample reads from a fact file
 _BATCH = 1 << 16
+# the one-character line ends of str.splitlines ("\r\n" is two of them)
+_LINE_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def load_facts(text: str) -> Interpretation:
@@ -223,13 +237,21 @@ def load_facts(text: str) -> Interpretation:
 def _file_lines(fh) -> Iterable[str]:
     """The lines of an open text file, as text.splitlines() would give them.
 
-    Read in batches of about _BATCH characters of whole lines; each batch
-    is joined and split once, which costs less than splitting line by line.
-    The file is opened with universal newlines, so every batch ends where
-    a line of the file ends.
+    Read in chunks of _BATCH characters, each split once.  A line that a
+    chunk cuts is carried into the next chunk; a chunk that ends in a line
+    end cuts none.  The file is opened with universal newlines, so no "\r"
+    of a "\r\n" is left at a chunk's end to pair with the next chunk.
     """
-    batches = iter(partial(fh.readlines, _BATCH), [])
-    return chain.from_iterable(map(str.splitlines, map("".join, batches)))
+    def chunks() -> Iterator[list[str]]:
+        carry = ""
+        for chunk in iter(partial(fh.read, _BATCH), ""):
+            lines = (carry + chunk).splitlines()
+            carry = "" if chunk[-1] in _LINE_ENDS else lines.pop()
+            yield lines
+        if carry:
+            yield [carry]
+
+    return chain.from_iterable(chunks())
 
 
 def _parse_lines(lines: Iterable[str]) -> Interpretation:
@@ -238,12 +260,9 @@ def _parse_lines(lines: Iterable[str]) -> Interpretation:
     # element -> its first string object, which every later fact on the
     # element stores in place of the copy its own line made
     seen: dict[str, str] = {}
+    # keyed by names that passed their check: no role name is a concept name
     concept_ext: dict[str, set[str]] = {}
     role_ext: dict[str, set[tuple[str, str]]] = {}
-
-    # names that passed their check, per kind: no role name is a concept name
-    roles_seen: set[str] = set()
-    names_seen: set[str] = set()
 
     def touch(elem: str, lineno: int) -> str:
         known = seen.get(elem)
@@ -256,6 +275,34 @@ def _parse_lines(lines: Iterable[str]) -> Interpretation:
         return elem
 
     for lineno, raw in enumerate(lines, start=1):
+        # first the exact forms save_facts writes, on checked names and
+        # known elements; these hold no whitespace, "#", "(", ")" or ",",
+        # so the general path below would read such a line the same way
+        head, _, rest = raw.partition("(")
+        if rest[-1:] == ")":
+            ext = concept_ext.get(head)
+            if ext is not None:
+                elem = seen.get(rest[:-1])
+                if elem is not None:
+                    ext.add(elem)
+                    continue
+            else:
+                pairs = role_ext.get(head)
+                if pairs is not None:
+                    x, _, y = rest[:-1].partition(",")
+                    x, y = seen.get(x), seen.get(y)
+                    if x is not None and y is not None:
+                        pairs.add((x, y))
+                        continue
+        elif raw[:8] == "element ":
+            elem = raw[8:]
+            if elem in seen:
+                continue
+            if _IDENT_RE.match(elem):
+                seen[elem] = elem
+                domain.append(elem)
+                continue
+
         line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
@@ -266,32 +313,22 @@ def _parse_lines(lines: Iterable[str]) -> Interpretation:
         m = _ROLE_FACT_RE.match(line) if "," in line else None
         if m:
             role, x, y = m.groups()
-            if role not in roles_seen:
+            if role not in role_ext:
                 if not role[0].islower():
                     raise DataError(
                         f"line {lineno}: role names start lowercase: {role!r}")
                 _check_ident(role, "role", lineno)
-                roles_seen.add(role)
             role_ext.setdefault(role, set()).add(
                 (touch(x, lineno), touch(y, lineno)))
             continue
-        # a checked name on a known element: the regex would accept the
-        # line and find just these two, so skip it
-        name, _, rest = line.partition("(")
-        if name in names_seen and rest.endswith(")"):
-            elem = seen.get(rest[:-1].strip())
-            if elem is not None:
-                concept_ext[name].add(elem)
-                continue
         m = _CONCEPT_FACT_RE.match(line)
         if m:
             name, elem = m.groups()
-            if name not in names_seen:
+            if name not in concept_ext:
                 if not name[0].isupper():
                     raise DataError(f"line {lineno}: concept names start "
                                     f"uppercase: {name!r}")
                 _check_ident(name, "concept", lineno)
-                names_seen.add(name)
             concept_ext.setdefault(name, set()).add(touch(elem, lineno))
             continue
         raise DataError(f"line {lineno}: cannot parse {raw.strip()!r}")

@@ -213,6 +213,14 @@ def test_data_errors(tmp_path, capsys):
     bad.write_text("positive = e1\n", encoding="utf-8")
     assert main(["fit", str(bad)]) == 65
     assert "alcfit: error:" in capsys.readouterr().err
+    # an example listed twice would be counted twice
+    (tmp_path / "ab.facts").write_text("element a\nelement b\n",
+                                       encoding="utf-8")
+    twice = tmp_path / "twice.manifest"
+    twice.write_text("facts = ab.facts\npositive = a a\nnegative = b\n",
+                     encoding="utf-8")
+    assert main(["fit", str(twice)]) == 65
+    assert "listed twice as positive: a" in capsys.readouterr().err
 
 
 def test_verify_outputs(fig1_manifest, capsys):
@@ -369,8 +377,9 @@ def test_benchmark_tracer_records_every_layer(fig1_manifest, capsys):
               "encoder.templates"}
     encode, fit, approx = ({span.name for span in tracer.spans
                             if span.op == op} for op in (1, 2, 3))
-    assert layers | {"encoder.fitting"} <= encode
-    assert layers | {"encoder.fitting", "solver.solve",
+    # and reads it through cli.load_sample, the name the load span wraps
+    assert layers | {"data.load_sample", "encoder.fitting"} <= encode
+    assert layers | {"data.load_sample", "encoder.fitting", "solver.solve",
                      "fitter.bounded_fit"} <= fit
     assert layers | {"encoder.coverage", "solver.solve", "encoder.decode",
                      "fitter.verify"} <= approx

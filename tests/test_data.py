@@ -34,11 +34,36 @@ def test_load_facts_element_declarations_and_comments():
     assert interp.domain == ("lonely", "e")
 
 
-@pytest.mark.parametrize("bad", ["A(e", "r(a)", "1up(e)", "a(e)", "R(a,b)",
-                                 "not(e)", "element ", "A()", "junk"])
+# bad line -> its message, which names the line's number; the same
+# whether or not earlier lines made its names and elements known
+_BAD = {
+    "A(e": "cannot parse 'A(e'",
+    "r(a)": "concept names start uppercase: 'r'",
+    "1up(e)": "cannot parse '1up(e)'",
+    "a(e)": "concept names start uppercase: 'a'",
+    "R(a,b)": "role names start lowercase: 'R'",
+    "not(e)": "concept names start uppercase: 'not'",
+    "element ": "cannot parse 'element'",
+    "A()": "cannot parse 'A()'",
+    "junk": "cannot parse 'junk'",
+    "A(a,b)": "role names start lowercase: 'A'",
+    "r(a,b,c)": "cannot parse 'r(a,b,c)'",
+    "r(,b)": "cannot parse 'r(,b)'",
+    "A(a)x": "cannot parse 'A(a)x'",
+    "A(a))": "cannot parse 'A(a))'",
+    "element a b": "bad element identifier 'a b'",
+}
+# four lines that make A, r, a, b and c known, so that a bad line after
+# them meets the shortcuts for known names and elements
+_KNOWN = "A(a)\nA(b)\nr(a,b)\nelement c\n"
+
+
+@pytest.mark.parametrize("bad", list(_BAD))
 def test_load_facts_rejects_malformed_lines(bad):
-    with pytest.raises(DataError):
-        load_facts(bad + "\n")
+    for text, lineno in ((bad + "\n", 1), (_KNOWN + bad + "\n", 5)):
+        with pytest.raises(DataError,
+                           match=re.escape(f"line {lineno}: {_BAD[bad]}")):
+            load_facts(text)
 
 
 def test_load_facts_checks_names_per_kind():
@@ -58,6 +83,9 @@ def test_repeated_concept_facts_keep_the_language():
     # what it accepts and how it fails must not change
     interp = load_facts("A(e)\nA( e )\nA(f)\nA(\te)\n")
     assert interp.concept_ext == {"A": frozenset({"e", "f"})}
+    # "#" starts a comment, also right after a known element
+    assert load_facts("element a\nelement a#\nelement b#\n") == \
+        load_facts("element a\nelement b\n")
     cases = [("A(e)\nA (e)\n", "line 2: cannot parse 'A (e)'"),
              ("A(e)\nA(e))\n", "line 2: cannot parse 'A(e))'"),
              ("A(e)\na(e)\n", "line 2: concept names start uppercase: 'a'"),
@@ -106,6 +134,11 @@ def test_sample_rejects_overlap_and_strays():
     interp = load_facts("element e1\nelement e2\n")
     with pytest.raises(DataError):
         Sample(interp, ("e1",), ("e1",))
+    # an example listed twice would be counted twice
+    with pytest.raises(DataError, match="listed twice as positive: e1$"):
+        Sample(interp, ("e1", "e2", "e1"), ())
+    with pytest.raises(DataError, match="listed twice as negative: e2$"):
+        Sample(interp, ("e1",), ("e2", "e2"))
     with pytest.raises(DataError):
         Sample(interp, ("zz",), ())
     assert Sample(interp, ("e1",), ("e2",)).num_examples == 2
@@ -176,7 +209,9 @@ def test_random_sample_survives_disk_round_trip(tmp_path_factory, seed):
 _LINES = ["A(a)", "B(f1:x)", "r(a,b)", "s(b,a)", "element c", "element f2:y",
           "# comment", "A(b) # trailing", "", "   ", "\t", "  A( a )  ",
           "\tr( a , b )", "element  d ", "A(a", "a(b)", "R(a,b)",
-          "element ", "junk", "not(a)", "A(1x)", "r(a,b", "A(a))"]
+          "element ", "junk", "not(a)", "A(1x)", "r(a,b", "A(a))",
+          "A(a,b)", "r(a)", "r(a,b,c)", "r(,b)", "A()", "A(a)x",
+          "element a b", "element a#"]
 _ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
          "\x85", "\u2028", "\u2029"]
 
@@ -208,6 +243,39 @@ def test_streamed_loading_agrees_with_text_loading(tmp_path_factory, lines,
     with mock.patch.object(data, "_BATCH", batch):
         got = _outcome(lambda: load_sample(out / "t.manifest").interp)
     assert got == expected  # Interpretation equality compares domain order
+
+
+_ELEMS = st.sampled_from(["a", "b", "c_1", "f1:x", "f2:y", "f10:a"])
+# a canonical line: concept fact, role fact or element declaration
+_CANONICAL = st.one_of(
+    st.tuples(st.sampled_from(["A", "B"]), _ELEMS).map(
+        lambda t: f"{t[0]}({t[1]})"),
+    st.tuples(st.sampled_from(["r", "s"]), _ELEMS, _ELEMS).map(
+        lambda t: f"{t[0]}({t[1]},{t[2]})"),
+    _ELEMS.map(lambda e: f"element {e}"))
+
+
+def _pad(line: str, how: int) -> str:
+    """line in a form that only the general line parser reads: spaces
+    inside the parentheses, whitespace around it, or a trailing comment."""
+    if how == 0:
+        return (line.replace("(", "( ").replace(",", " ,\t").replace(")", " )")
+                if "(" in line else line.replace(" ", "  ") + " ")
+    if how == 1:
+        return " \t" + line + "  "
+    return line + " # comment (with, parentheses)"
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(_CANONICAL, st.integers(0, 3)), min_size=1,
+                max_size=16))
+def test_padded_lines_parse_as_canonical_lines(lines):
+    # the canonical forms are those the shortcuts read once their names and
+    # elements are known; the padded ones always take the general path
+    canonical = load_facts("\n".join(line for line, _ in lines))
+    padded = "\n".join(line if how == 3 else _pad(line, how)
+                       for line, how in lines)
+    assert load_facts(padded) == canonical  # domain order included
 
 
 def _traced_load(manifest):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import os
 import re
 import shutil
 import subprocess
@@ -301,15 +302,16 @@ def test_rust_crate_tests_pass(crate):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def _has_clippy() -> bool:
+def _has_cargo(tool: str) -> bool:
     if shutil.which("cargo") is None:
         return False
-    proc = subprocess.run(["cargo", "clippy", "--version"],
+    proc = subprocess.run(["cargo", tool, "--version"],
                           capture_output=True, text=True)
     return proc.returncode == 0
 
 
-@pytest.mark.skipif(not _has_clippy(), reason="no cargo clippy installed")
+@pytest.mark.skipif(not _has_cargo("clippy"),
+                    reason="no cargo clippy installed")
 @pytest.mark.parametrize("crate", ["abi", "cdcl"])
 def test_rust_crates_are_clippy_clean(crate):
     # the C calls dereference raw pointers, so clippy asks for them to be
@@ -319,6 +321,18 @@ def test_rust_crates_are_clippy_clean(crate):
                            "--", "-D", "warnings"],
                           cwd=crate_dir, capture_output=True, text=True,
                           timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.skipif(not _has_cargo("fmt"), reason="no cargo fmt installed")
+@pytest.mark.parametrize("crate", ["abi", "cdcl", "satbridge"])
+def test_rust_crates_are_rustfmt_clean(crate):
+    # formatting reads only the crate's own sources, so it needs none of
+    # the CaDiCaL bridge's dependencies
+    crate_dir = Path(__file__).parent.parent / "native" / crate
+    proc = subprocess.run(["cargo", "fmt", "--check"], cwd=crate_dir,
+                          capture_output=True, text=True, timeout=600,
+                          env={**os.environ, "CARGO_NET_OFFLINE": "true"})
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
