@@ -1,7 +1,7 @@
 //! The `satbridge` C ABI, written once over a small [`Backend`] trait.
 //!
 //! A solver crate implements [`Backend`] and invokes [`satbridge_abi!`] once;
-//! the macro expands, inside that crate's cdylib, to the nine
+//! the macro expands, inside that crate's cdylib, to the eight
 //! `unsafe extern "C"` calls that the Python package binds through ctypes.
 //!
 //! Safety: every call but `satbridge_new` trusts its caller with raw
@@ -51,9 +51,6 @@ pub trait Backend {
         -1
     }
 
-    /// The largest variable seen in a clause or an assumption.
-    fn max_variable(&self) -> i32;
-
     /// The backing solver's name and version.
     fn signature(&self) -> String;
 }
@@ -71,7 +68,7 @@ pub unsafe fn buffer<'a>(ptr: *const i32, len: usize) -> &'a [i32] {
     }
 }
 
-/// The nine `satbridge_` calls over `$backend`, which implements [`Backend`];
+/// The eight `satbridge_` calls over `$backend`, which implements [`Backend`];
 /// each is `unsafe`, under the safety contract of the crate docs.
 #[macro_export]
 macro_rules! satbridge_abi {
@@ -144,11 +141,6 @@ macro_rules! satbridge_abi {
         #[no_mangle]
         pub unsafe extern "C" fn satbridge_conflicts(ptr: *mut $backend) -> i64 {
             $crate::Backend::conflicts(unsafe { &*ptr })
-        }
-
-        #[no_mangle]
-        pub unsafe extern "C" fn satbridge_max_variable(ptr: *mut $backend) -> i32 {
-            $crate::Backend::max_variable(unsafe { &*ptr })
         }
 
         #[no_mangle]

@@ -40,10 +40,6 @@ impl Backend for Solver {
         self.last_conflicts() as i64
     }
 
-    fn max_variable(&self) -> i32 {
-        Solver::max_variable(self)
-    }
-
     fn signature(&self) -> String {
         concat!("alcfit-cdcl-", env!("CARGO_PKG_VERSION")).to_string()
     }

@@ -247,11 +247,6 @@ impl Solver {
         }
     }
 
-    /// The largest DIMACS variable seen in a clause or an assumption.
-    pub fn max_variable(&self) -> i32 {
-        self.num_vars() as i32
-    }
-
     pub fn num_clauses(&self) -> u64 {
         self.added
     }
@@ -980,7 +975,7 @@ mod tests {
         solver.add_clause(&[-1]);
         assert_eq!(solver.solve(&[], None, None), Status::Unsat);
         assert_eq!(solver.value(1), 0);
-        assert_eq!(solver.max_variable(), 2);
+        assert_eq!(solver.num_vars(), 2);
         assert_eq!(solver.num_clauses(), 3);
     }
 }

@@ -48,10 +48,6 @@ impl Backend for Bridge {
         }
     }
 
-    fn max_variable(&self) -> i32 {
-        self.solver.max_variable()
-    }
-
     fn signature(&self) -> String {
         self.solver.signature().to_string()
     }

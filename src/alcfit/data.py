@@ -363,19 +363,20 @@ def save_facts(interp: Interpretation) -> str:
 
 def merge_blocks(blocks: list[tuple[Interpretation, list[str], list[str]]]) -> Sample:
     """Disjoint union of (interpretation, positives, negatives) blocks."""
-    return _merge(len(blocks), iter(blocks))
+    return Sample(*_merge(len(blocks), iter(blocks)))
 
 
 def _merge(count: int,
            blocks: Iterator[tuple[Interpretation, list[str], list[str]]],
-           ) -> Sample:
-    """merge_blocks over `count` blocks that are made one at a time: each is
-    merged before the next is asked for, and nothing here holds it after,
-    so a block's interpretation can be freed before the next is read."""
+           ) -> tuple[Interpretation, tuple[str, ...], tuple[str, ...]]:
+    """The fields of merge_blocks's Sample over `count` blocks that are made
+    one at a time: each is merged before the next is asked for, and nothing
+    here holds it after, so a block's interpretation can be freed before
+    the next is read."""
     # single block keeps its element names; several get "f<i>:" prefixes
     if count == 1:
         interp, pos, neg = next(blocks)
-        return Sample(interp, tuple(pos), tuple(neg))
+        return interp, tuple(pos), tuple(neg)
     domain: list[str] = []
     concept_ext: dict[str, set[str]] = {}
     role_ext: dict[str, set[tuple[str, str]]] = {}
@@ -402,7 +403,7 @@ def _merge(count: int,
     merged = Interpretation(
         domain, {a: frozenset(concept_ext.pop(a)) for a in list(concept_ext)},
         {r: frozenset(role_ext.pop(r)) for r in list(role_ext)})
-    return Sample(merged, tuple(positives), tuple(negatives))
+    return merged, tuple(positives), tuple(negatives)
 
 
 def load_sample(manifest_path: str | Path) -> Sample:
@@ -458,7 +459,11 @@ def load_sample(manifest_path: str | Path) -> Sample:
         return interp, pos, neg
 
     # each block is read only when the one before it is merged
-    return _merge(len(blocks), map(read, blocks))
+    fields = _merge(len(blocks), map(read, blocks))
+    try:
+        return Sample(*fields)
+    except DataError as exc:  # the examples the manifest lists
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _not_utf8(what: str, path: Path, exc: UnicodeDecodeError) -> str:

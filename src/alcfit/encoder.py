@@ -69,6 +69,11 @@ export renders each row once (solver.export_dimacs).  Building a recipe
 costs about what counting its clauses would, and its memory is of the
 order of the rows it reads (the variable map's own), so there is one kind
 of Cnf: encode --stats counts the same one that DIMACS export renders.
+
+Cnf.num_vars is the one variable count of the pipeline: a literal run
+counts its own literals when it is closed, and a recipe reads only
+variables declared beforehand (every builder declares the variable map's
+count).  DIMACS export and the solver sessions take that count as it is.
 """
 
 from __future__ import annotations
@@ -168,19 +173,21 @@ class Cnf:
     export renders it from tokens (text) without them
     (solver.export_dimacs).
 
-    num_vars is declared by the encoding functions, not inferred per
-    literal.  A hand-built instance need not declare its variables: both
-    solver sessions and export_dimacs count the ones its clauses mention
-    beyond num_vars.
+    num_vars is the one variable count of a Cnf: the largest count given
+    to declare_vars or the largest |literal| of a literal run, whichever
+    is larger.  A literal run counts its own literals, once, when it is
+    closed; a recipe is not scanned, so it may read only declared
+    variables, as the encoding functions' recipes do (they declare the
+    variable map's count).
     """
 
-    __slots__ = ("_parts", "_run", "num_clauses", "num_vars", "groups")
+    __slots__ = ("_parts", "_run", "_num_vars", "num_clauses", "groups")
 
     def __init__(self):
         self._parts: list[array | Rows | Gather] = []
-        self._run = array("i")  # the run add extends; parts closes it
+        self._run = array("i")  # the run add extends; _close_run closes it
+        self._num_vars = 0
         self.num_clauses = 0
-        self.num_vars = 0
         self.groups: dict[str, int] = {}
 
     def add(self, tag: str, lits) -> None:
@@ -192,25 +199,37 @@ class Cnf:
         self.groups[tag] = self.groups.get(tag, 0) + 1
 
     def add_block(self, tag: str, count: int, part: Rows | Gather) -> None:
-        """Append `count` clauses given as one recipe."""
+        """Append `count` clauses given as one recipe, whose literals are
+        all declared (declare_vars)."""
         if not count:
             return
         self.parts.append(part)
         self.num_clauses += count
         self.groups[tag] = self.groups.get(tag, 0) + count
 
+    def _close_run(self) -> None:
+        """Move the run that add has been extending into the parts, so a
+        part never grows, and count its variables."""
+        run = self._run
+        if run:
+            self._parts.append(run)
+            self._run = array("i")
+            self.declare_vars(max(max(run), -min(run)))
+
     @property
     def parts(self) -> list[array | Rows | Gather]:
-        """The clauses in order, one part each; the run that add has been
-        extending is closed into the list first, so a part never grows."""
-        if self._run:
-            self._parts.append(self._run)
-            self._run = array("i")
+        """The clauses in order, one part each."""
+        self._close_run()
         return self._parts
 
+    @property
+    def num_vars(self) -> int:
+        self._close_run()
+        return self._num_vars
+
     def declare_vars(self, n: int) -> None:
-        if n > self.num_vars:
-            self.num_vars = n
+        if n > self._num_vars:
+            self._num_vars = n
 
     def arrays(self):
         """Each part's clauses as one 0-terminated int array, a recipe's

@@ -11,6 +11,12 @@ where its crate resolves.  ``NativeSession.signature()`` names the one
 loaded.  Both are deterministic for a fixed clause sequence; the configured
 seed reaches no solver yet, so the search is fixed by the clauses alone.
 
+A session counts no literals itself: its variable count is the largest
+``Cnf.num_vars`` it was given (see ``encoder.Cnf``), |assumption| or
+``declare_vars`` argument, and a model covers exactly those variables.
+DIMACS export writes the Cnf's count in its header and refuses a literal
+beyond it, which only a recipe that reads undeclared variables can hold.
+
 Budgets are cooperative: a conflict budget or wall-clock timeout makes the
 backend give up and report "unknown", it is never killed mid-solve.  A
 timeout of zero or less means the time is already up: the solve reports
@@ -29,7 +35,7 @@ from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
-from .encoder import Cnf, VarMap
+from .encoder import Cnf, EncodingError, VarMap
 
 __all__ = [
     "SolverError", "SolverConfig", "SolveOutcome", "SolverSession",
@@ -152,8 +158,6 @@ def _load_library() -> ctypes.CDLL:
     lib.satbridge_model.restype = None
     lib.satbridge_conflicts.argtypes = [ctypes.c_void_p]
     lib.satbridge_conflicts.restype = ctypes.c_int64
-    lib.satbridge_max_variable.argtypes = [ctypes.c_void_p]
-    lib.satbridge_max_variable.restype = ctypes.c_int32
     lib.satbridge_signature.argtypes = [ctypes.c_void_p]
     lib.satbridge_signature.restype = ctypes.c_void_p
     lib.satbridge_string_free.argtypes = [ctypes.c_void_p]
@@ -186,8 +190,6 @@ class NativeSession(SolverSession):
             ptr = ctypes.cast(addr, ctypes.POINTER(ctypes.c_int32))
             self.num_clauses += self._lib.satbridge_add_clauses(
                 self._ptr, ptr, count)
-        # a hand-built Cnf may mention variables it never declared
-        self.declare_vars(self._lib.satbridge_max_variable(self._ptr))
 
     def solve(self, assumptions=(), conflict_budget: int | None = None,
               timeout: float | None = None) -> SolveOutcome:
@@ -234,28 +236,15 @@ class NativeSession(SolverSession):
 _CHUNK = 1 << 16  # literals per piece of a literal run's DIMACS text
 
 
-class _Tokens(dict):
-    """DIMACS token of every literal in -bound..bound: "<lit> " and, for the
-    clause terminator 0, "0\n".  The token of a literal beyond the bound (a
-    hand-built Cnf need not declare its variables) is made when asked for,
-    and `missed` notes that it was."""
-
-    missed = False
-
-    def __init__(self, bound: int):
-        super().__init__((lit, f"{lit} ") for lit in range(-bound, bound + 1))
-        self[0] = "0\n"
-
-    def __missing__(self, lit: int) -> str:
-        self.missed = True
-        return f"{lit} "
-
-
-def _pieces(cnf: Cnf, table: _Tokens) -> list[str]:
-    """DIMACS clause lines of a Cnf's parts, one piece per recipe and per
-    _CHUNK literals of a run.  A recipe renders itself from tokens (text),
-    and the token list of each row it reads is made once per row object,
-    however many blocks share it."""
+def _pieces(cnf: Cnf, num_vars: int) -> list[str]:
+    """DIMACS clause lines of a Cnf's parts over variables 1..num_vars, one
+    piece per recipe and per _CHUNK literals of a run.  A recipe renders
+    itself from tokens (text), and the token list of each row it reads is
+    made once per row object, however many blocks share it."""
+    # the token of every literal in -num_vars..num_vars, "0\n" for the 0
+    # that ends a clause
+    table = {lit: f"{lit} " for lit in range(-num_vars, num_vars + 1)}
+    table[0] = "0\n"
     get = table.__getitem__
     cache: dict[int, list[str]] = {}  # id(row) -> its tokens
 
@@ -266,27 +255,18 @@ def _pieces(cnf: Cnf, table: _Tokens) -> list[str]:
         return toks
 
     pieces = []
-    for part in cnf.parts:
-        if isinstance(part, array):
-            for start in range(0, len(part), _CHUNK):
-                pieces.append("".join(map(get, part[start:start + _CHUNK])))
-        else:
-            pieces.append(part.text(get, row_tokens))
+    try:
+        for part in cnf.parts:
+            if isinstance(part, array):
+                for start in range(0, len(part), _CHUNK):
+                    pieces.append(
+                        "".join(map(get, part[start:start + _CHUNK])))
+            else:
+                pieces.append(part.text(get, row_tokens))
+    except KeyError as exc:  # only a recipe's: a run counts its own literals
+        raise EncodingError(f"literal {exc.args[0]} beyond the {num_vars} "
+                            "declared variables") from None
     return pieces
-
-
-def _clause_text(cnf: Cnf, num_vars: int) -> tuple[list[str], int]:
-    """The pieces of _pieces plus the variable count for the header:
-    num_vars, or the largest |literal| of a clause where one exceeds it.
-    Only then are the parts' literals scanned: a recipe may also hold
-    literals that no clause reads."""
-    table = _Tokens(num_vars)
-    pieces = _pieces(cnf, table)
-    if table.missed:
-        for buf in cnf.arrays():
-            if buf:
-                num_vars = max(num_vars, max(buf), -min(buf))
-    return pieces, num_vars
 
 
 def export_dimacs(cnf: Cnf, vm: VarMap | None = None) -> str:
@@ -295,8 +275,8 @@ def export_dimacs(cnf: Cnf, vm: VarMap | None = None) -> str:
     out: list[str] = []
     if vm is not None:
         out.append("\n".join(vm.comment_lines()) + "\n")
-    pieces, num_vars = _clause_text(
-        cnf, max(cnf.num_vars, vm.num_vars if vm else 0))
+    num_vars = max(cnf.num_vars, vm.num_vars if vm else 0)
+    pieces = _pieces(cnf, num_vars)
     out.append(f"p cnf {num_vars} {cnf.num_clauses}\n")
     out.extend(pieces)
     return "".join(out)
@@ -345,12 +325,6 @@ class DimacsSession(SolverSession):
 
     def add_cnf(self, cnf: Cnf) -> None:
         self.declare_vars(cnf.num_vars)
-        # a hand-built Cnf may mention variables it never declared: its
-        # literal runs are scanned here, the recipes by _clause_text's
-        # fallback when a solve renders them
-        for part in cnf.parts:
-            if isinstance(part, array) and part:
-                self.declare_vars(max(max(part), -min(part)))
         self._cnf.absorb(cnf)
         self.num_clauses += cnf.num_clauses
 
@@ -362,9 +336,7 @@ class DimacsSession(SolverSession):
         if timeout is not None and timeout <= 0:
             return SolveOutcome(UNKNOWN, None, 0.0)
         total = self.num_clauses + len(assumptions)
-        # a hand-built Cnf may mention variables it never declared
-        pieces, num_vars = _clause_text(self._cnf, self.num_vars)
-        self.declare_vars(num_vars)
+        pieces = _pieces(self._cnf, self.num_vars)
         start = time.perf_counter()
         with tempfile.NamedTemporaryFile(
                 mode="w", suffix=".cnf", prefix="alcfit-", delete=False) as fh:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -220,7 +221,14 @@ def test_data_errors(tmp_path, capsys):
     twice.write_text("facts = ab.facts\npositive = a a\nnegative = b\n",
                      encoding="utf-8")
     assert main(["fit", str(twice)]) == 65
-    assert "listed twice as positive: a" in capsys.readouterr().err
+    assert (f"{twice}: elements listed twice as positive: a"
+            in capsys.readouterr().err)
+    both = tmp_path / "both.manifest"
+    both.write_text("facts = ab.facts\npositive = a\nnegative = a b\n",
+                    encoding="utf-8")
+    assert main(["fit", str(both)]) == 65
+    assert (f"{both}: elements listed positive and negative: a"
+            in capsys.readouterr().err)
 
 
 def test_verify_outputs(fig1_manifest, capsys):
@@ -383,6 +391,16 @@ def test_benchmark_tracer_records_every_layer(fig1_manifest, capsys):
                      "fitter.bounded_fit"} <= fit
     assert layers | {"encoder.coverage", "solver.solve", "encoder.decode",
                      "fitter.verify"} <= approx
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's checks read the DIMACS header and the encode lines,
+    # so a change to either fails here, not only in a benchmark run
+    root = Path(__file__).parent.parent
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=root, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_gen_families(tmp_path, capsys):

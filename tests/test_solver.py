@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from alcfit.benchgen import gen_random
 from alcfit.concepts import O_ALL, fits
 from alcfit.data import merge_blocks
-from alcfit.encoder import (Cnf, Gather, Rows, _add_rows, decode_model,
+from alcfit.encoder import (Cnf, EncodingError, Gather, Rows, _add_rows,
+                            decode_model, encode_coverage_at_least,
                             encode_fitting)
 from alcfit.fitter import encode_size
 from alcfit import solver
@@ -282,11 +283,11 @@ def test_both_shims_and_python_agree_on_the_abi():
         assert "no_mangle" not in shim
     bound = set(re.findall(r"\blib\.(satbridge_\w+)",
                            inspect.getsource(solver._load_library)))
-    assert len(abi) == 9 and abi == bound
+    assert len(abi) == 8 and abi == bound
     lib = solver._load_library()
     assert all(hasattr(lib, name) for name in bound)
     for removed in ("satbridge_add_clause", "satbridge_value",
-                    "satbridge_num_clauses"):
+                    "satbridge_num_clauses", "satbridge_max_variable"):
         assert not hasattr(lib, removed)
 
 
@@ -300,6 +301,27 @@ def test_rust_crate_tests_pass(crate):
                           cwd=crate_dir, capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.skipif(shutil.which("cargo") is None, reason="no cargo on PATH")
+def test_bundled_library_is_built_from_its_source(tmp_path):
+    # the library Python loads must be what native/cdcl builds to; the
+    # release build does not depend on the checkout's path or target dir
+    root = Path(__file__).parent.parent
+    session = NativeSession()
+    try:
+        if not session.signature().startswith("alcfit-cdcl-"):
+            pytest.skip("the bundled library is a CaDiCaL build")
+    finally:
+        session.close()
+    env = {**os.environ, "CARGO_TARGET_DIR": str(tmp_path)}
+    proc = subprocess.run(["cargo", "build", "--release", "--offline"],
+                          cwd=root / "native" / "cdcl", capture_output=True,
+                          text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    built = tmp_path / "release" / "libsatbridge.so"
+    bundled = root / "src" / "alcfit" / "_native" / "libsatbridge.so"
+    assert built.read_bytes() == bundled.read_bytes()
 
 
 def _has_cargo(tool: str) -> bool:
@@ -351,6 +373,18 @@ def test_export_dimacs_counts_undeclared_variables():
     cnf.declare_vars(2)
     cnf.add("t", [1, -5])
     assert export_dimacs(cnf) == "p cnf 5 1\n1 -5 0\n"
+
+
+def test_export_dimacs_refuses_undeclared_recipe_literals():
+    # a run counts its own literals; a recipe is not scanned, so one that
+    # reads an undeclared variable is an encoder bug, not a short header
+    cnf = Cnf()
+    cnf.add("t", [1, -2])
+    _add_rows(cnf, "t", 2, (-1, array("i", [2, -3])))
+    with pytest.raises(EncodingError, match="literal -3 beyond the 2"):
+        export_dimacs(cnf)
+    cnf.declare_vars(3)
+    assert export_dimacs(cnf) == "p cnf 3 3\n1 -2 0\n-1 2 0\n-1 -3 0\n"
 
 
 def test_export_dimacs_empty():
@@ -452,6 +486,9 @@ def test_export_renders_encodings_clause_by_clause(seed, elements, names,
             (sample.interp, [], list(sample.negatives))])
     cnf, vm = encode_size(sample, k, ops, typed=typed)
     cnf.absorb(encode_fitting(sample, vm))
+    # the approximate-mode counter, whose columns are allocated as m grows
+    for m in range(1, sample.num_examples + 1):
+        cnf.absorb(encode_coverage_at_least(sample, m, vm))
     clauses = list(cnf.clauses())
     assert clauses == expanded_clauses(cnf)
     assert len(clauses) == cnf.num_clauses
@@ -485,7 +522,8 @@ def test_export_renders_hand_built_mixes(steps):
     # clauses added one at a time, absorbed from other Cnfs, laid out as
     # row blocks (rows reused across shapes and blocks) and gathered from a
     # literal list, with literals up to 6 and fewer variables declared: the
-    # header must count the largest |literal|
+    # header must count the largest |literal| of a run; a recipe declares
+    # the largest it holds, as the encoding functions do
     cnf = Cnf()
     expected: list[list[int]] = []
     declared = 0
@@ -506,9 +544,14 @@ def test_export_renders_hand_built_mixes(steps):
             shapes = [[rows[lit[1] % len(rows)] if isinstance(lit, tuple)
                        else lit for lit in shape] for shape in step[2]]
             _add_rows(cnf, "t", 3, *shapes)
-            expected += [[lit[e] if isinstance(lit, array) else lit
-                          for lit in shape]
-                         for e in range(3) for shape in shapes]
+            block = [[lit[e] if isinstance(lit, array) else lit
+                      for lit in shape]
+                     for e in range(3) for shape in shapes]
+            # every literal of the recipe, rows whole, is in some clause
+            top = max(abs(lit) for clause in block for lit in clause)
+            cnf.declare_vars(top)
+            declared = max(declared, top)
+            expected += block
         elif step[0] == "gather":
             tail, picks = step[1], step[2]
             # src = [0] + tail: index 0 ends a clause, p + 1 is tail[p]
@@ -516,6 +559,9 @@ def test_export_renders_hand_built_mixes(steps):
                    for i in [p % len(tail) + 1 for p in clause] + [0]]
             cnf.add_block("t", len(picks),
                           Gather(array("i", [0]), array("i", tail), idx))
+            top = max(map(abs, tail))
+            cnf.declare_vars(top)
+            declared = max(declared, top)
             expected += [[tail[p % len(tail)] for p in clause]
                          for clause in picks]
         else:
