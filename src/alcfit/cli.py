@@ -273,17 +273,18 @@ def cmd_encode(args) -> int:
         return 0
     if reason is not None:
         print(f"reason: {reason}", file=sys.stderr)
-    text = export_dimacs(cnf, vm)
+    data = export_dimacs(cnf, vm)
     if args.emit_dimacs:
-        # in slices: encoding the whole text at once would hold a second,
-        # byte copy of it (tens of MB on large samples)
-        with open(args.emit_dimacs, "w", encoding="utf-8") as fh:
-            for start in range(0, len(text), 1 << 20):
-                fh.write(text[start:start + (1 << 20)])
+        with open(args.emit_dimacs, "wb") as fh:
+            fh.write(data)
         print(f"wrote {args.emit_dimacs}: {vm.num_vars} vars, "
               f"{cnf.num_clauses} clauses")
-    else:
-        sys.stdout.write(text)
+    elif hasattr(sys.stdout, "buffer"):
+        # the same bytes in one write, after any text the stream holds
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+    else:  # a text-only stream, such as a StringIO
+        sys.stdout.write(data.decode())
     return 0
 
 

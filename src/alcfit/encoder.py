@@ -80,7 +80,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from operator import itemgetter, mul, neg
+from operator import mul, neg
 
 from .concepts import (And, Bot, Concept, Exists, Forall, Name, Not, Or,
                        O_ALL, OperatorSet, Signature, Top)
@@ -134,6 +134,14 @@ class Rows:
             block[offset::period] = row_tokens(row)
         return "".join(block)
 
+    def size(self, length, row_size) -> int:
+        """len(text(...)), from length(lit) per pattern literal and
+        row_size(row), the length of a row's tokens together."""
+        fixed = list(map(length, self.pattern))
+        for offset in self.offsets:
+            fixed[offset] = 0
+        return self.n * sum(fixed) + sum(map(row_size, self.rows))
+
 
 class Gather:
     """Recipe of a quantifier block: literal p is src[idx[p]], where src is
@@ -154,11 +162,21 @@ class Gather:
         block.fromlist(list(map(src.__getitem__, self.idx)))
         return block
 
-    def text(self, token, row_tokens) -> str:
+    def text(self, token, row_tokens, pick) -> str:
         """The block's literals as text: token(lit) per head literal,
-        row_tokens(tail) for the tail's, gathered as ints gathers ints."""
-        src = list(map(token, self.head)) + row_tokens(self.tail)
-        return "".join(itemgetter(*self.idx)(src))
+        row_tokens(tail) for the tail's, gathered as ints gathers ints by
+        pick, itemgetter(*idx), which export builds once per template."""
+        return "".join(pick(list(map(token, self.head))
+                            + row_tokens(self.tail)))
+
+    def size_bound(self, length, row_widest, head_counts) -> int:
+        """At least len(text(...)), and exactly it when the tail's tokens
+        are equally long: head literal j counted head_counts[j] times (how
+        often idx holds j), every other entry of idx as row_widest(tail),
+        the longest of the tail's tokens."""
+        heads = sum(map(mul, head_counts, map(length, self.head)))
+        return heads + (len(self.idx) - sum(head_counts)) * row_widest(
+            self.tail)
 
 
 class Cnf:
@@ -170,7 +188,8 @@ class Cnf:
     how the semantics encoding lays out a block repeated per domain
     element, or Gather, a quantifier block read through an index template.
     A recipe becomes ints only when asked (arrays, clauses); DIMACS
-    export renders it from tokens (text) without them
+    export renders it from tokens (text), and bounds the text's length
+    from the tokens' lengths (size, size_bound), without them
     (solver.export_dimacs).
 
     num_vars is the one variable count of a Cnf: the largest count given

@@ -17,6 +17,11 @@ A session counts no literals itself: its variable count is the largest
 DIMACS export writes the Cnf's count in its header and refuses a literal
 beyond it, which only a recipe that reads undeclared variables can hold.
 
+One renderer makes the DIMACS clause text, piece by piece, for two sinks:
+``export_dimacs`` encodes the pieces into one buffer and returns it as
+ASCII bytes, so the text is held once, and a DIMACS session writes them
+straight to its clause file before it starts the solver's clock.
+
 Budgets are cooperative: a conflict budget or wall-clock timeout makes the
 backend give up and report "unknown", it is never killed mid-solve.  A
 timeout of zero or less means the time is already up: the solve reports
@@ -27,15 +32,18 @@ must not be negative, and only the native backend takes one.
 from __future__ import annotations
 
 import ctypes
+import io
 import shlex
 import subprocess
 import tempfile
 import time
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
-from .encoder import Cnf, EncodingError, VarMap
+from .encoder import Cnf, EncodingError, Gather, VarMap
 
 __all__ = [
     "SolverError", "SolverConfig", "SolveOutcome", "SolverSession",
@@ -236,50 +244,110 @@ class NativeSession(SolverSession):
 _CHUNK = 1 << 16  # literals per piece of a literal run's DIMACS text
 
 
-def _pieces(cnf: Cnf, num_vars: int) -> list[str]:
-    """DIMACS clause lines of a Cnf's parts over variables 1..num_vars, one
-    piece per recipe and per _CHUNK literals of a run.  A recipe renders
-    itself from tokens (text), and the token list of each row it reads is
-    made once per row object, however many blocks share it."""
-    # the token of every literal in -num_vars..num_vars, "0\n" for the 0
-    # that ends a clause
-    table = {lit: f"{lit} " for lit in range(-num_vars, num_vars + 1)}
-    table[0] = "0\n"
-    get = table.__getitem__
-    cache: dict[int, list[str]] = {}  # id(row) -> its tokens
+def _by_id(make):
+    """make(obj), made once per object: the objects passed must outlive
+    the cache, as every row and template of a Cnf outlives its export."""
+    cache: dict = {}
 
-    def row_tokens(row: array) -> list[str]:
-        toks = cache.get(id(row))
-        if toks is None:  # every row lives in a part until the export ends
-            toks = cache[id(row)] = list(map(get, row))
-        return toks
-
-    pieces = []
-    try:
-        for part in cnf.parts:
-            if isinstance(part, array):
-                for start in range(0, len(part), _CHUNK):
-                    pieces.append(
-                        "".join(map(get, part[start:start + _CHUNK])))
-            else:
-                pieces.append(part.text(get, row_tokens))
-    except KeyError as exc:  # only a recipe's: a run counts its own literals
-        raise EncodingError(f"literal {exc.args[0]} beyond the {num_vars} "
-                            "declared variables") from None
-    return pieces
+    def get(obj):
+        value = cache.get(id(obj))
+        if value is None:
+            value = cache[id(obj)] = make(obj)
+        return value
+    return get
 
 
-def export_dimacs(cnf: Cnf, vm: VarMap | None = None) -> str:
-    """Standard DIMACS text; with a variable map, `c <id> = <tag>` comments
-    document the encoding (stable across runs for identical inputs)."""
-    out: list[str] = []
-    if vm is not None:
-        out.append("\n".join(vm.comment_lines()) + "\n")
+class _Renderer:
+    """DIMACS text of a Cnf's parts over variables 1..num_vars: one piece
+    per recipe and per _CHUNK literals of a run, made as they are asked for
+    (pieces), or a close upper bound on their total length without making
+    them (size_bound).  A recipe renders and measures itself from tokens;
+    what it reads of a row or a Gather template is made once per object,
+    however many blocks share it.  A literal beyond num_vars has no token
+    and raises EncodingError: a run counts its own literals, so only a
+    recipe that reads undeclared variables, an encoder bug, holds one."""
+
+    def __init__(self, num_vars: int):
+        # the token of every literal in -num_vars..num_vars, "0\n" for the
+        # 0 that ends a clause
+        table = {lit: f"{lit} " for lit in range(-num_vars, num_vars + 1)}
+        table[0] = "0\n"
+        self.num_vars = num_vars
+        self.token = token = table.__getitem__
+        self.row_tokens = _by_id(lambda row: list(map(token, row)))
+        self._pick = _by_id(lambda idx: itemgetter(*idx))
+
+    def length(self, lit: int) -> int:
+        return len(self.token(lit))
+
+    def pieces(self, parts) -> Iterator[str]:
+        try:
+            for part in parts:
+                if isinstance(part, array):
+                    for start in range(0, len(part), _CHUNK):
+                        yield "".join(
+                            map(self.token, part[start:start + _CHUNK]))
+                elif isinstance(part, Gather):
+                    yield part.text(self.token, self.row_tokens,
+                                    self._pick(part.idx))
+                else:
+                    yield part.text(self.token, self.row_tokens)
+        except KeyError as exc:
+            raise self._undeclared(exc) from None
+
+    def size_bound(self, parts) -> int:
+        """Exact for runs and Rows; the entries of a Gather that read its
+        tail count as the tail's longest token."""
+        row_size = _by_id(lambda row: sum(map(len, self.row_tokens(row))))
+        widest = _by_id(lambda row: max(map(len, self.row_tokens(row)),
+                                        default=0))
+        heads: dict[tuple[int, int], list[int]] = {}  # per template
+        total = 0
+        try:
+            for part in parts:
+                if isinstance(part, array):
+                    total += sum(map(len, map(self.token, part)))
+                elif isinstance(part, Gather):
+                    key = (id(part.idx), len(part.head))
+                    if key not in heads:
+                        heads[key] = list(map(part.idx.count,
+                                              range(len(part.head))))
+                    total += part.size_bound(self.length, widest, heads[key])
+                else:
+                    total += part.size(self.length, row_size)
+        except KeyError as exc:
+            raise self._undeclared(exc) from None
+        return total
+
+    def _undeclared(self, exc: KeyError) -> EncodingError:
+        return EncodingError(f"literal {exc.args[0]} beyond the "
+                             f"{self.num_vars} declared variables")
+
+
+def export_dimacs(cnf: Cnf, vm: VarMap | None = None) -> bytes:
+    """Standard DIMACS text as ASCII bytes; with a variable map,
+    `c <id> = <tag>` comments document the encoding (stable across runs for
+    identical inputs).  The text is held once: the clause pieces are
+    encoded one at a time into one buffer, made at an upper bound of the
+    text's length and cut to it, which is returned without a copy."""
     num_vars = max(cnf.num_vars, vm.num_vars if vm else 0)
-    pieces = _pieces(cnf, num_vars)
-    out.append(f"p cnf {num_vars} {cnf.num_clauses}\n")
-    out.extend(pieces)
-    return "".join(out)
+    render = _Renderer(num_vars)
+    size = render.size_bound(cnf.parts)
+    buf = io.BytesIO()
+    if vm is not None:
+        buf.write(("\n".join(vm.comment_lines()) + "\n").encode())
+    buf.write(f"p cnf {num_vars} {cnf.num_clauses}\n".encode())
+    # made at its full size at once: a buffer grown piece by piece is moved
+    # as it grows, which fragments the heap and raised the peak RSS of
+    # repeated exports
+    start = buf.tell()
+    buf.seek(start + size)
+    buf.write(b"\n")
+    buf.seek(start)
+    for piece in render.pieces(cnf.parts):
+        buf.write(piece.encode())
+    buf.truncate()
+    return buf.getvalue()
 
 
 def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
@@ -336,25 +404,29 @@ class DimacsSession(SolverSession):
         if timeout is not None and timeout <= 0:
             return SolveOutcome(UNKNOWN, None, 0.0)
         total = self.num_clauses + len(assumptions)
-        pieces = _pieces(self._cnf, self.num_vars)
-        start = time.perf_counter()
-        with tempfile.NamedTemporaryFile(
-                mode="w", suffix=".cnf", prefix="alcfit-", delete=False) as fh:
-            fh.write(f"p cnf {self.num_vars} {total}\n")
-            fh.writelines(pieces)
-            fh.writelines(f"{lit} 0\n" for lit in assumptions)
-            path = Path(fh.name)
+        fd, name = tempfile.mkstemp(suffix=".cnf", prefix="alcfit-")
+        path = Path(name)
         try:
-            proc = subprocess.run(
-                self._argv + [str(path)], capture_output=True, text=True,
-                timeout=timeout)
-        except subprocess.TimeoutExpired:
-            return SolveOutcome(UNKNOWN, None, time.perf_counter() - start)
-        except OSError as exc:
-            raise SolverError(f"cannot run {self._argv[0]!r}: {exc}") from exc
+            # written as rendered; the clock covers the solver alone
+            with open(fd, "w", encoding="ascii") as fh:
+                fh.write(f"p cnf {self.num_vars} {total}\n")
+                fh.writelines(
+                    _Renderer(self.num_vars).pieces(self._cnf.parts))
+                fh.writelines(f"{lit} 0\n" for lit in assumptions)
+            start = time.perf_counter()
+            try:
+                proc = subprocess.run(
+                    self._argv + [name], capture_output=True, text=True,
+                    timeout=timeout)
+            except subprocess.TimeoutExpired:
+                return SolveOutcome(UNKNOWN, None,
+                                    time.perf_counter() - start)
+            except OSError as exc:
+                raise SolverError(
+                    f"cannot run {self._argv[0]!r}: {exc}") from exc
+            elapsed = time.perf_counter() - start
         finally:
             path.unlink(missing_ok=True)
-        elapsed = time.perf_counter() - start
         status = UNKNOWN
         if proc.returncode == 10:
             status = SAT

@@ -5,15 +5,19 @@ import json
 import re
 import subprocess
 import sys
+from array import array
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
 import alcfit.cli
 import alcfit.fitter
+from alcfit.benchgen import gen_random
 from alcfit.cli import main
-from alcfit.data import load_sample
-from alcfit.encoder import Cnf
+from alcfit.data import load_sample, save_sample
+from alcfit.encoder import Cnf, EncodingError, _add_rows
 
 DIMACS_SOLVER = (f"{sys.executable} "
                  f"{Path(__file__).parent.parent / 'scripts' / 'dimacs_solve.py'}")
@@ -301,6 +305,40 @@ def test_encode_to_stdout(fig1_manifest, capsys):
     assert main(["encode", str(fig1_manifest), "--max-size", "0"]) == 65
 
 
+def test_encode_stdout_matches_the_file(fig1_manifest, tmp_path,
+                                       capsysbinary):
+    # one text, whether written to a file, to a binary stdout or to a
+    # text-only one
+    sample = gen_random(30, 2, 2, 0.1, 4, 4, seed=2)
+    for manifest in (fig1_manifest, save_sample(sample, tmp_path, "random")):
+        out = tmp_path / "k5.cnf"
+        argv = ["encode", str(manifest), "--max-size", "5"]
+        assert main(argv + ["--emit-dimacs", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+        with redirect_stdout(StringIO()) as text:
+            assert main(argv) == 0
+        assert text.getvalue().encode() == out.read_bytes()
+
+
+def test_encode_leaves_the_file_on_an_encoding_error(fig1_manifest, tmp_path,
+                                                    monkeypatch):
+    # the whole text is rendered before the file is opened
+    def undeclared_fitting(sample, vm):
+        cnf = Cnf()
+        _add_rows(cnf, "t", 1, (array("i", [vm.num_vars + 1]),))
+        return cnf
+
+    monkeypatch.setattr(alcfit.cli, "encode_fitting", undeclared_fitting)
+    out = tmp_path / "kept.cnf"
+    out.write_bytes(b"kept\n")
+    with pytest.raises(EncodingError, match="beyond the"):
+        main(["encode", str(fig1_manifest), "--max-size", "2",
+              "--emit-dimacs", str(out)])
+    assert out.read_bytes() == b"kept\n"
+
+
 def test_encode_names_bisimilar_examples(contra_manifest, tmp_path, capsys):
     # the file is still written, but its fitting units contradict each
     # other; encode says why, as fit does
@@ -362,7 +400,8 @@ def _perfbench_tracer():
     return module
 
 
-def test_benchmark_tracer_records_every_layer(fig1_manifest, capsys):
+def test_benchmark_tracer_records_every_layer(fig1_manifest, tmp_path,
+                                             capsys):
     # the benchmark's per-layer metrics come from spans around the names
     # alcfit.cli and alcfit.fitter look up; a refactor that calls a layer
     # some other way would silently drop its metrics
@@ -377,6 +416,10 @@ def test_benchmark_tracer_records_every_layer(fig1_manifest, capsys):
         tracer.begin_op()
         assert main(["fit", str(fig1_manifest), "--mode", "approx",
                      "--max-size", "4"]) == 0
+        tracer.begin_op()
+        out = tmp_path / "fig1.cnf"
+        assert main(["encode", str(fig1_manifest), "--max-size", "4",
+                     "--emit-dimacs", str(out)]) == 0
     finally:
         tracer.uninstall()
     # every op types and encodes the sample's quotient through the same
@@ -391,6 +434,11 @@ def test_benchmark_tracer_records_every_layer(fig1_manifest, capsys):
                      "fitter.bounded_fit"} <= fit
     assert layers | {"encoder.coverage", "solver.solve", "encoder.decode",
                      "fitter.verify"} <= approx
+    # solver.export_mb is the length of what export_dimacs returns: the
+    # size of the file encode writes
+    exports = [span.info for span in tracer.spans
+               if span.op == 4 and span.name == "solver.export"]
+    assert exports == [{"chars": out.stat().st_size}]
 
 
 def test_benchmark_selftest_passes():

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -363,7 +364,7 @@ def test_rust_crates_are_rustfmt_clean(crate):
 def test_export_dimacs_minimal_example():
     cnf = Cnf()
     cnf.add("t", [1, -2])
-    assert export_dimacs(cnf) == "p cnf 2 1\n1 -2 0\n"
+    assert export_dimacs(cnf) == b"p cnf 2 1\n1 -2 0\n"
 
 
 def test_export_dimacs_counts_undeclared_variables():
@@ -372,7 +373,7 @@ def test_export_dimacs_counts_undeclared_variables():
     cnf = Cnf()
     cnf.declare_vars(2)
     cnf.add("t", [1, -5])
-    assert export_dimacs(cnf) == "p cnf 5 1\n1 -5 0\n"
+    assert export_dimacs(cnf) == b"p cnf 5 1\n1 -5 0\n"
 
 
 def test_export_dimacs_refuses_undeclared_recipe_literals():
@@ -384,16 +385,16 @@ def test_export_dimacs_refuses_undeclared_recipe_literals():
     with pytest.raises(EncodingError, match="literal -3 beyond the 2"):
         export_dimacs(cnf)
     cnf.declare_vars(3)
-    assert export_dimacs(cnf) == "p cnf 3 3\n1 -2 0\n-1 2 0\n-1 -3 0\n"
+    assert export_dimacs(cnf) == b"p cnf 3 3\n1 -2 0\n-1 2 0\n-1 -3 0\n"
 
 
 def test_export_dimacs_empty():
-    assert export_dimacs(Cnf()) == "p cnf 0 0\n"
+    assert export_dimacs(Cnf()) == b"p cnf 0 0\n"
 
 
 def test_export_dimacs_with_varmap_comments(fig1_sample):
     cnf, vm = build_encoding(fig1_sample, 2, O_ALL)
-    text = export_dimacs(cnf, vm)
+    text = export_dimacs(cnf, vm).decode("ascii")
     lines = text.splitlines()
     assert lines[0].startswith("c 1 = x[1,")
     header = next(l for l in lines if l.startswith("p "))
@@ -402,7 +403,7 @@ def test_export_dimacs_with_varmap_comments(fig1_sample):
 
 def test_parse_dimacs_round_trip(fig1_sample):
     cnf, vm = build_encoding(fig1_sample, 4, O_ALL)
-    num_vars, clauses = parse_dimacs(export_dimacs(cnf, vm))
+    num_vars, clauses = parse_dimacs(export_dimacs(cnf, vm).decode())
     assert num_vars == vm.num_vars
     assert len(clauses) == cnf.num_clauses
     session = NativeSession()
@@ -453,13 +454,23 @@ def expanded_clauses(cnf: Cnf) -> list[list[int]]:
     return out
 
 
+def assert_close_size_bound(cnf: Cnf, num_vars: int, text: str) -> None:
+    """The bound export sizes its buffer by holds the clause text, and is
+    exact unless a Gather's tail mixes token lengths."""
+    body = len(text.partition("\n")[2])  # the text after the header
+    bound = solver._Renderer(num_vars).size_bound(cnf.parts)
+    assert body <= bound
+    if not any(isinstance(part, Gather) for part in cnf.parts):
+        assert bound == body
+
+
 def test_export_matches_per_clause_text_with_roles():
     sample = gen_random(60, 2, 2, 0.1, 3, 3, seed=3)
     cnf, vm = build_encoding(sample, 6, O_ALL)
     clauses = list(cnf.clauses())
     # many blocks, many pieces of text
     assert sum(map(len, cnf.arrays())) > 1 << 16
-    text = export_dimacs(cnf)
+    text = export_dimacs(cnf).decode("ascii")
     assert text == per_clause_text(vm.num_vars, clauses)
     assert parse_dimacs(text) == (vm.num_vars, clauses)
     assert len(clauses) == cnf.num_clauses
@@ -492,9 +503,10 @@ def test_export_renders_encodings_clause_by_clause(seed, elements, names,
     clauses = list(cnf.clauses())
     assert clauses == expanded_clauses(cnf)
     assert len(clauses) == cnf.num_clauses
-    text = export_dimacs(cnf)
+    text = export_dimacs(cnf).decode("ascii")
     assert text == per_clause_text(vm.num_vars, clauses)
-    assert export_dimacs(cnf, vm) == (
+    assert_close_size_bound(cnf, vm.num_vars, text)
+    assert export_dimacs(cnf, vm).decode("ascii") == (
         "".join(f"c {v} = {vm.describe(v)}\n"
                 for v in range(1, vm.num_vars + 1)) + text)
     assert list(cnf.clauses()) == clauses  # rendering changed nothing
@@ -570,8 +582,47 @@ def test_export_renders_hand_built_mixes(steps):
     clauses = list(cnf.clauses())
     assert clauses == expected == expanded_clauses(cnf)
     num_vars = max([declared] + [abs(lit) for c in expected for lit in c])
-    assert export_dimacs(cnf) == per_clause_text(num_vars, expected)
+    text = per_clause_text(num_vars, expected)
+    assert export_dimacs(cnf) == text.encode()
+    assert_close_size_bound(cnf, num_vars, text)
     assert list(cnf.clauses()) == clauses
+
+
+def test_export_holds_the_text_once():
+    # the text is encoded piece by piece into one buffer made at its size;
+    # besides it, an export holds only its token table and row tokens
+    sample = gen_random(300, 3, 2, 0.02, 5, 5, seed=1)
+    cnf, vm = encode_size(sample, 7, O_ALL)
+    cnf.absorb(encode_fitting(sample, vm))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        text = export_dimacs(cnf, vm)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_000_000
+    assert peak <= 1.8 * len(text)
+
+
+def test_dimacs_solve_times_the_solver_alone(monkeypatch):
+    # the clause file is written before the clock starts, however slowly
+    # its pieces come
+    pieces = solver._Renderer.pieces
+
+    def slow(self, parts):
+        time.sleep(1.0)
+        yield from pieces(self, parts)
+
+    monkeypatch.setattr(solver._Renderer, "pieces", slow)
+    session = DimacsSession(DIMACS_SOLVER)
+    session.add_clause([1, 2])
+    session.add_clause([-1])
+    start = time.perf_counter()
+    out = session.solve()
+    assert time.perf_counter() - start >= 1.0  # the pieces were written
+    assert out.status == "sat" and out.model[2]
+    assert out.time < 1.0
 
 
 def test_parse_dimacs_rejects_bad_header():
