@@ -79,6 +79,8 @@ count).  DIMACS export and the solver sessions take that count as it is.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import mul, neg
 
@@ -125,19 +127,19 @@ class Rows:
             block[offset::period] = row
         return block
 
-    def text(self, token, row_tokens) -> str:
-        """The block's literals as text, laid out as ints lays out ints:
-        token(lit) per pattern literal, row_tokens(row) for a row's."""
+    def text(self, tokens) -> str:
+        """The block's literals as text, laid out as ints lays out ints
+        from tokens(lits), the tokens of an int array's literals."""
         period = len(self.pattern)
-        block = list(map(token, self.pattern)) * self.n
+        block = tokens(self.pattern) * self.n
         for offset, row in zip(self.offsets, self.rows):
-            block[offset::period] = row_tokens(row)
+            block[offset::period] = tokens(row)
         return "".join(block)
 
-    def size(self, length, row_size) -> int:
-        """len(text(...)), from length(lit) per pattern literal and
-        row_size(row), the length of a row's tokens together."""
-        fixed = list(map(length, self.pattern))
+    def size(self, tokens, row_size) -> int:
+        """len(text(tokens)), given row_size(row), the length of a row's
+        tokens together."""
+        fixed = list(map(len, tokens(self.pattern)))
         for offset in self.offsets:
             fixed[offset] = 0
         return self.n * sum(fixed) + sum(map(row_size, self.rows))
@@ -162,19 +164,18 @@ class Gather:
         block.fromlist(list(map(src.__getitem__, self.idx)))
         return block
 
-    def text(self, token, row_tokens, pick) -> str:
-        """The block's literals as text: token(lit) per head literal,
-        row_tokens(tail) for the tail's, gathered as ints gathers ints by
-        pick, itemgetter(*idx), which export builds once per template."""
-        return "".join(pick(list(map(token, self.head))
-                            + row_tokens(self.tail)))
+    def text(self, tokens, pick) -> str:
+        """The block's literals as text: tokens(lits), the tokens of an int
+        array's literals, of head and tail, gathered as ints gathers ints
+        by pick, itemgetter(*idx), which export builds once per template."""
+        return "".join(pick(tokens(self.head) + tokens(self.tail)))
 
-    def size_bound(self, length, row_widest, head_counts) -> int:
+    def size_bound(self, tokens, row_widest, head_counts) -> int:
         """At least len(text(...)), and exactly it when the tail's tokens
         are equally long: head literal j counted head_counts[j] times (how
         often idx holds j), every other entry of idx as row_widest(tail),
         the longest of the tail's tokens."""
-        heads = sum(map(mul, head_counts, map(length, self.head)))
+        heads = sum(map(mul, head_counts, map(len, tokens(self.head))))
         return heads + (len(self.idx) - sum(head_counts)) * row_widest(
             self.tail)
 
@@ -188,9 +189,9 @@ class Cnf:
     how the semantics encoding lays out a block repeated per domain
     element, or Gather, a quantifier block read through an index template.
     A recipe becomes ints only when asked (arrays, clauses); DIMACS
-    export renders it from tokens (text), and bounds the text's length
-    from the tokens' lengths (size, size_bound), without them
-    (solver.export_dimacs).
+    export renders it from the tokens of the int arrays it holds (text),
+    and bounds the text's length from their lengths (size, size_bound),
+    without joining them (solver.export_dimacs).
 
     num_vars is the one variable count of a Cnf: the largest count given
     to declare_vars or the largest |literal| of a literal run, whichever
@@ -288,7 +289,17 @@ class _CoverageState:
 
 
 class VarMap:
-    """Bijection between solver variable ids and tagged encoding variables."""
+    """Bijection between solver variable ids and tagged encoding variables.
+
+    Ids are allocated in blocks, each one contiguous id range: node i's x
+    row over the labels, its y1 and y2 rows over the child indices, and,
+    once bound, its z and child rows over the domain, its xt row over the
+    types, the l row over the nodes and each coverage counter column.  A
+    row is kept as its range, and a block as (prefix, items, suffix), one
+    record however long the row: id start + p is the variable
+    prefix + str(items[p]) + suffix.  describe and comment_lines read the
+    blocks; a domain's rows share its element tuple.
+    """
 
     def __init__(self, k: int, ops: OperatorSet, sigma: Signature):
         if k < 1:
@@ -312,28 +323,44 @@ class VarMap:
         self._label_pos = {lab: p for p, lab in enumerate(labels)}
 
         self._next = 1
-        self._tags: list[tuple] = [()]  # index 0 unused
-        self._x = [[self._alloc(("x", i, lab)) for lab in labels]
+        self._starts: list[int] = []  # the first id of each block
+        self._blocks: list[tuple[str, Sequence, str]] = []
+        names = [".".join(lab) for lab in labels]
+        # lists, not ranges: the syntax clauses index them pairwise
+        self._x = [list(self._alloc(f"x[{i},", names))
                    for i in range(1, k + 1)]
-        self._y1 = {(i, j): self._alloc(("y1", i, j))
-                    for i in range(1, k + 1) for j in range(i + 1, k + 1)}
-        self._y2 = {(i, j): self._alloc(("y2", i, j))
-                    for i in range(1, k + 1) for j in range(i + 1, k)}
+        self._y1 = self._alloc_edges("y1", k)
+        self._y2 = self._alloc_edges("y2", k - 1)
         self.interp: Interpretation | None = None
         self.source: Interpretation | None = None
         self._row: dict[str, int] = {}
-        self._z: list[list[int]] = []
-        self._c: list[list[int]] = []
-        self._xt: list[list[int]] = []
-        self._ell: list[int] = []
+        self._z: list[range] = []
+        self._c: list[range] = []
+        self._xt: list[range] = []
+        self._ell = range(0)
         self.types: TypeTable | None = None
         self._coverage: _CoverageState | None = None
 
-    def _alloc(self, tag: tuple) -> int:
-        var = self._next
-        self._next += 1
-        self._tags.append(tag)
-        return var
+    def _alloc(self, prefix: str, items: Sequence, suffix: str = "]",
+               ) -> range:
+        """One id per item, as one contiguous range, recorded as one
+        block: id start + p stands for prefix + str(items[p]) + suffix."""
+        ids = range(self._next, self._next + len(items))
+        if ids:
+            self._starts.append(ids.start)
+            self._blocks.append((prefix, items, suffix))
+            self._next = ids.stop
+        return ids
+
+    def _alloc_edges(self, kind: str, last: int,
+                     ) -> dict[tuple[int, int], int]:
+        """kind[i,j] for each node i and i < j <= last, one block per i."""
+        edges = {}
+        for i in range(1, self.k + 1):
+            kids = range(i + 1, last + 1)
+            edges.update(zip([(i, j) for j in kids],
+                             self._alloc(f"{kind}[{i},", kids)))
+        return edges
 
     @property
     def num_vars(self) -> int:
@@ -371,20 +398,16 @@ class VarMap:
         self.interp = interp
         self.source = target.source
         self._row = target.row
-        n = len(interp.domain)
-        self._z = [[self._alloc(("z", i, interp.domain[e]))
-                    for e in range(n)]
-                   for i in range(1, self.k + 1)]
+        dom = interp.domain
+        self._z = [self._alloc(f"z[{i},", dom) for i in range(1, self.k + 1)]
         if any(lab[0] in ("exists", "forall") for lab in self.labels):
-            self._c = [[self._alloc(("child", i, interp.domain[e]))
-                        for e in range(n)]
+            self._c = [self._alloc(f"child[{i},", dom)
                        for i in range(1, self.k)]
         if types is not None:
             self.types = types
-            self._xt = [[self._alloc(("xt", i, t))
-                         for t in range(len(types.types))]
+            self._xt = [self._alloc(f"xt[{i},", range(len(types.types)))
                         for i in range(1, self.k + 1)]
-            self._ell = [self._alloc(("l", i)) for i in range(1, self.k + 1)]
+            self._ell = self._alloc("l[", range(1, self.k + 1))
 
     def z(self, i: int, element: str) -> int:
         """z[i, row of element]; element belongs to the bound source."""
@@ -395,10 +418,10 @@ class VarMap:
             raise EncodingError(f"element {element!r} is not encoded")
         return self._z[i - 1][row]
 
-    def z_row(self, i: int) -> list[int]:
+    def z_row(self, i: int) -> range:
         return self._z[i - 1]
 
-    def c_row(self, i: int) -> list[int]:
+    def c_row(self, i: int) -> Sequence[int]:
         """Node i's child row; empty for node k, which has no child, and
         without quantifier labels."""
         return self._c[i - 1] if i <= len(self._c) else []
@@ -412,25 +435,20 @@ class VarMap:
     # -- DIMACS commentary ---------------------------------------------------
 
     def describe(self, var: int) -> str:
-        kind, *rest = self._tags[var]
-        if kind == "x":
-            i, lab = rest
-            return f"x[{i},{'.'.join(str(p) for p in lab)}]"
-        return f"{kind}[{','.join(str(p) for p in rest)}]"
+        if not 1 <= var <= self.num_vars:
+            raise EncodingError(
+                f"variable {var} outside 1..{self.num_vars}")
+        at = bisect_right(self._starts, var) - 1
+        prefix, items, suffix = self._blocks[at]
+        return f"{prefix}{items[var - self._starts[at]]}{suffix}"
 
-    def comment_lines(self) -> list[str]:
-        """`c <id> = <describe(id)>` for every variable, rendered from the
-        tags directly: one f-string per variable."""
-        label = {lab: ".".join(lab) for lab in self.labels}
-        lines = []
-        for var, tag in enumerate(self._tags[1:], 1):
-            if len(tag) == 2:
-                lines.append(f"c {var} = {tag[0]}[{tag[1]}]")
-            elif tag[0] == "x":
-                lines.append(f"c {var} = x[{tag[1]},{label[tag[2]]}]")
-            else:
-                lines.append(f"c {var} = {tag[0]}[{tag[1]},{tag[2]}]")
-        return lines
+    def comment_lines(self) -> Iterator[str]:
+        """`c <id> = <describe(id)>` for every variable, in id order: one
+        str.format map per block, over its ids and items."""
+        for start, (prefix, items, suffix) in zip(self._starts, self._blocks):
+            line = f"c {{}} = {prefix}{{}}{suffix}"  # brace-free affixes
+            yield from map(line.format, range(start, start + len(items)),
+                           items)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +552,7 @@ def _add_rows(cnf: Cnf, tag: str, n: int, *shapes) -> None:
 
 
 def _quantifier_template(kind: str, targets: list[tuple[int, ...]],
-                         ) -> list[int]:
+                         positions: list[int]) -> list[int]:
     """Layout of one exists/forall block as indices into the literal list
     [0, -x] + z_i + (-z_i) + c_i + (-c_i), where x is the label's variable,
     c_i node i's child row and targets[e] the successors of element e.  Per
@@ -542,19 +560,23 @@ def _quantifier_template(kind: str, targets: list[tuple[int, ...]],
 
         exists: (-x, -z_i[e], c_i[b]...), then (-x, -c_i[b], z_i[e])
         forall: (-x, z_i[e], -c_i[b]...), then (-x, -z_i[e], c_i[b])
-    """
+
+    Every index is taken from positions, list(range(2 + 4n)), which the
+    templates share, so each position is one int object however many
+    entries hold it."""
     n = len(targets)
-    zi, nzi, ci, nci = 2, 2 + n, 2 + 2 * n, 2 + 3 * n
+    z, nz = positions[2:2 + n], positions[2 + n:2 + 2 * n]
+    c, nc = positions[2 + 2 * n:2 + 3 * n], positions[2 + 3 * n:]
     idx: list[int] = []
     for e, succ in enumerate(targets):
         if kind == "exists":
-            idx += [1, nzi + e, *[ci + b for b in succ], 0]
+            idx += [1, nz[e], *map(c.__getitem__, succ), 0]
             for b in succ:
-                idx += [1, nci + b, zi + e, 0]
+                idx += [1, nc[b], z[e], 0]
         else:
-            idx += [1, zi + e, *[nci + b for b in succ], 0]
+            idx += [1, z[e], *map(nc.__getitem__, succ), 0]
             for b in succ:
-                idx += [1, nzi + e, ci + b, 0]
+                idx += [1, nz[e], c[b], 0]
     return idx
 
 
@@ -583,6 +605,7 @@ def _non_name_semantics(cnf: Cnf, vm: VarMap,
     block_size = {role: n + sum(map(len, rows))
                   for role, rows in succ_rows.items()}
     templates: dict[Label, list[int]] = {}
+    positions = list(range(2 + 4 * n))  # the templates' one int per index
 
     for i in range(1, k + 1):
         zi, nzi = z[i - 1], nz[i - 1]
@@ -629,7 +652,7 @@ def _non_name_semantics(cnf: Cnf, vm: VarMap,
                 idx = templates.get(lab)
                 if idx is None:
                     idx = templates[lab] = _quantifier_template(
-                        kind, succ_rows[lab[1]])
+                        kind, succ_rows[lab[1]], positions)
                 cnf.add_block(SEM, block_size[lab[1]],
                               Gather(array("i", (0, -xv)), src_rows, idx))
 
@@ -739,8 +762,9 @@ def encode_coverage_at_least(sample: Sample, m: int, vm: VarMap) -> Cnf:
         raise ValueError(f"coverage target {m} outside 1..{q}")
     svar = state.svar
     for col in range(state.built_columns + 1, m + 1):
-        for i in range(col, q + 1):
-            sv = svar[(i, col)] = vm._alloc(("s", i, col))
+        rows = range(col, q + 1)
+        for i, sv in zip(rows, vm._alloc("s[", rows, f",{col}]")):
+            svar[(i, col)] = sv
             below = svar.get((i - 1, col))
             if below is None:
                 add(CARD, (-sv, lits[i - 1]))

@@ -20,7 +20,12 @@ beyond it, which only a recipe that reads undeclared variables can hold.
 One renderer makes the DIMACS clause text, piece by piece, for two sinks:
 ``export_dimacs`` encodes the pieces into one buffer and returns it as
 ASCII bytes, so the text is held once, and a DIMACS session writes them
-straight to its clause file before it starts the solver's clock.
+straight to its clause file before it starts the solver's clock.  The
+renderer looks literals up in one list of tokens indexed by literal, a
+whole row or run at a time, and range-checks each int array once before
+it does.  Beside the text, an export holds that list, the tokens of each
+row the blocks share and, between its sizing pass and the write, the text
+of the literal runs, which it renders once.
 
 Budgets are cooperative: a conflict budget or wall-clock timeout makes the
 backend give up and report "unknown", it is never killed mid-solve.  A
@@ -260,68 +265,77 @@ def _by_id(make):
 class _Renderer:
     """DIMACS text of a Cnf's parts over variables 1..num_vars: one piece
     per recipe and per _CHUNK literals of a run, made as they are asked for
-    (pieces), or a close upper bound on their total length without making
-    them (size_bound).  A recipe renders and measures itself from tokens;
-    what it reads of a row or a Gather template is made once per object,
-    however many blocks share it.  A literal beyond num_vars has no token
-    and raises EncodingError: a run counts its own literals, so only a
-    recipe that reads undeclared variables, an encoder bug, holds one."""
+    (pieces), or a close upper bound on their total length (size_bound).
+
+    The tokens sit in one list indexed by literal: 0..num_vars from the
+    front, -num_vars..-1 from the back, so a lookup is a list index, made
+    at C level over a whole row or run.  Read from both ends, the list
+    would map a literal in num_vars+1..2*num_vars to a negative literal's
+    token, so every int array is range-checked before it is looked up:
+    each row, pattern and head once, as its tokens are made once per
+    object (tokens), however many blocks share it, and each run slice as
+    it is rendered.  A literal beyond num_vars raises EncodingError: a run
+    counts its own literals, so only a recipe that reads undeclared
+    variables, an encoder bug, holds one.  size_bound renders each run
+    and keeps its text for pieces, so no run is looked up twice."""
 
     def __init__(self, num_vars: int):
-        # the token of every literal in -num_vars..num_vars, "0\n" for the
-        # 0 that ends a clause
-        table = {lit: f"{lit} " for lit in range(-num_vars, num_vars + 1)}
+        # "0\n" for the 0 that ends a clause
+        table = [f"{lit} " for lit in range(num_vars + 1)]
         table[0] = "0\n"
+        table += [f"{lit} " for lit in range(-num_vars, 0)]
         self.num_vars = num_vars
-        self.token = token = table.__getitem__
-        self.row_tokens = _by_id(lambda row: list(map(token, row)))
+        self._token = table.__getitem__
+        self.tokens = _by_id(
+            lambda lits: list(map(self._token, self._checked(lits))))
         self._pick = _by_id(lambda idx: itemgetter(*idx))
+        self._runs: dict[int, list[str]] = {}  # run texts size_bound made
 
-    def length(self, lit: int) -> int:
-        return len(self.token(lit))
+    def _checked(self, lits):
+        """lits, once none of them lies beyond num_vars."""
+        n = self.num_vars
+        if lits and (max(lits) > n or min(lits) < -n):
+            bad = next(lit for lit in lits if not -n <= lit <= n)
+            raise EncodingError(f"literal {bad} beyond the {n} declared "
+                                "variables")
+        return lits
+
+    def _run_pieces(self, run: array) -> Iterator[str]:
+        for start in range(0, len(run), _CHUNK):
+            chunk = self._checked(run[start:start + _CHUNK])
+            yield "".join(map(self._token, chunk))
 
     def pieces(self, parts) -> Iterator[str]:
-        try:
-            for part in parts:
-                if isinstance(part, array):
-                    for start in range(0, len(part), _CHUNK):
-                        yield "".join(
-                            map(self.token, part[start:start + _CHUNK]))
-                elif isinstance(part, Gather):
-                    yield part.text(self.token, self.row_tokens,
-                                    self._pick(part.idx))
-                else:
-                    yield part.text(self.token, self.row_tokens)
-        except KeyError as exc:
-            raise self._undeclared(exc) from None
+        for part in parts:
+            if isinstance(part, array):
+                yield from (self._runs.pop(id(part), None)
+                            or self._run_pieces(part))
+            elif isinstance(part, Gather):
+                yield part.text(self.tokens, self._pick(part.idx))
+            else:
+                yield part.text(self.tokens)
 
     def size_bound(self, parts) -> int:
         """Exact for runs and Rows; the entries of a Gather that read its
         tail count as the tail's longest token."""
-        row_size = _by_id(lambda row: sum(map(len, self.row_tokens(row))))
-        widest = _by_id(lambda row: max(map(len, self.row_tokens(row)),
+        row_size = _by_id(lambda row: sum(map(len, self.tokens(row))))
+        widest = _by_id(lambda row: max(map(len, self.tokens(row)),
                                         default=0))
         heads: dict[tuple[int, int], list[int]] = {}  # per template
         total = 0
-        try:
-            for part in parts:
-                if isinstance(part, array):
-                    total += sum(map(len, map(self.token, part)))
-                elif isinstance(part, Gather):
-                    key = (id(part.idx), len(part.head))
-                    if key not in heads:
-                        heads[key] = list(map(part.idx.count,
-                                              range(len(part.head))))
-                    total += part.size_bound(self.length, widest, heads[key])
-                else:
-                    total += part.size(self.length, row_size)
-        except KeyError as exc:
-            raise self._undeclared(exc) from None
+        for part in parts:
+            if isinstance(part, array):
+                text = self._runs[id(part)] = list(self._run_pieces(part))
+                total += sum(map(len, text))
+            elif isinstance(part, Gather):
+                key = (id(part.idx), len(part.head))
+                if key not in heads:
+                    heads[key] = list(map(part.idx.count,
+                                          range(len(part.head))))
+                total += part.size_bound(self.tokens, widest, heads[key])
+            else:
+                total += part.size(self.tokens, row_size)
         return total
-
-    def _undeclared(self, exc: KeyError) -> EncodingError:
-        return EncodingError(f"literal {exc.args[0]} beyond the "
-                             f"{self.num_vars} declared variables")
 
 
 def export_dimacs(cnf: Cnf, vm: VarMap | None = None) -> bytes:

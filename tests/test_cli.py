@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import re
@@ -320,6 +321,22 @@ def test_encode_stdout_matches_the_file(fig1_manifest, tmp_path,
         with redirect_stdout(StringIO()) as text:
             assert main(argv) == 0
         assert text.getvalue().encode() == out.read_bytes()
+
+
+def test_encode_output_is_pinned(tmp_path, capsys):
+    # the whole file, comments included: a change to the order in which ids
+    # are allocated, or to the text, changes the digest
+    manifest = save_sample(gen_random(30, 2, 2, 0.1, 4, 4, seed=2), tmp_path,
+                           "random")
+    out = tmp_path / "k5.cnf"
+    for flags, digest in (
+            ([], "e2bb7bd2e7c4957b328d6b3b769bf0ed"
+                 "3df1a1fc3cae9a8cc0b42026bcaf593a"),
+            (["--no-typed"], "3872dcecde1556b1893a26136f20622e"
+                             "48341e0f5ea9d27087e0695b2a3f59e3")):
+        assert main(["encode", str(manifest), "--max-size", "5",
+                     "--emit-dimacs", str(out), *flags]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, flags
 
 
 def test_encode_leaves_the_file_on_an_encoding_error(fig1_manifest, tmp_path,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -299,6 +300,46 @@ def test_var_map_guards(fig1_sample):
     other = compute_types(corpus_samples(1)[0].interp)
     with pytest.raises(EncodingError, match="does not cover"):
         typed.bind(fig1_sample.interp, other)
+
+
+def test_describe_names_each_variable_and_refuses_other_ids(fig1_sample):
+    # ids are allocated row by row, one block each; an id outside
+    # 1..num_vars names no variable, whichever end it lies beyond
+    sample = fig1_sample
+    _, vm = encode_syntax(3, O_ALL, interpretation_signature(sample.interp))
+    vm.bind(sample.interp, compute_types(sample.interp))
+    first = sample.interp.domain[0]
+    assert vm.describe(1) == "x[1,top]"
+    assert vm.describe(vm.y1(1, 3)) == "y1[1,3]"
+    assert vm.describe(vm.y2(1, 2)) == "y2[1,2]"
+    assert vm.describe(vm.z(3, first)) == f"z[3,{first}]"
+    assert vm.describe(vm.c_row(2)[0]) == f"child[2,{first}]"
+    assert vm.describe(vm.xt(2, 1)) == "xt[2,1]"
+    assert vm.describe(vm.ell(3)) == "l[3]"
+    n = vm.num_vars
+    for bad in (-1, 0, n + 1):
+        with pytest.raises(EncodingError, match=f"variable {bad} outside"):
+            vm.describe(bad)
+    encode_coverage_at_least(sample, 2, vm)
+    assert vm.num_vars > n
+    assert vm.describe(n + 1) == "s[1,1]"
+    assert vm.describe(vm.num_vars) == f"s[{sample.num_examples},2]"
+    assert list(vm.comment_lines()) == [f"c {v} = {vm.describe(v)}"
+                                        for v in range(1, vm.num_vars + 1)]
+
+
+def test_encoding_holds_few_bytes_per_variable():
+    # the map keeps one block per row, not a tag per variable, and the
+    # quantifier templates share one int object per position
+    sample = gen_random(300, 3, 2, 0.02, 5, 5, seed=1)
+    tracemalloc.start()
+    try:
+        cnf, vm = encode_size(sample, 7, O_ALL)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert vm.num_vars > 4000
+    assert held <= 300 * vm.num_vars
 
 
 # -- fitting units and coverage counter
