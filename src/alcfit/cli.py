@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -273,18 +274,27 @@ def cmd_encode(args) -> int:
         return 0
     if reason is not None:
         print(f"reason: {reason}", file=sys.stderr)
-    data = export_dimacs(cnf, vm)
+    # every literal is checked before the file is opened or a byte written
+    text = export_dimacs(cnf, vm)
     if args.emit_dimacs:
         with open(args.emit_dimacs, "wb") as fh:
-            fh.write(data)
+            fh.writelines(text)
         print(f"wrote {args.emit_dimacs}: {vm.num_vars} vars, "
               f"{cnf.num_clauses} clauses")
-    elif hasattr(sys.stdout, "buffer"):
-        # the same bytes in one write, after any text the stream holds
+        return 0
+    try:
+        sys.stdout.flush()  # any text the stream holds goes first
+        if hasattr(sys.stdout, "buffer"):
+            sys.stdout.buffer.writelines(text)
+        else:  # a text-only stream, such as a StringIO
+            sys.stdout.writelines(piece.decode() for piece in text)
         sys.stdout.flush()
-        sys.stdout.buffer.write(data)
-    else:  # a text-only stream, such as a StringIO
-        sys.stdout.write(data.decode())
+    except BrokenPipeError:
+        # the reader has gone: what is left goes to the null device, so
+        # that the flush at exit cannot raise
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
     return 0
 
 

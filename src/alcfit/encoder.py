@@ -65,10 +65,11 @@ depend on the role's successor lists and are Gather recipes: an index
 template, built once per label, into the literal list [0, -x] + z_i +
 (-z_i) + c_i + (-c_i), whose tail is shared by node i's quantifier blocks
 (_quantifier_template).  The rows are shared across blocks, so DIMACS
-export renders each row once (solver.export_dimacs).  Building a recipe
-costs about what counting its clauses would, and its memory is of the
-order of the rows it reads (the variable map's own), so there is one kind
-of Cnf: encode --stats counts the same one that DIMACS export renders.
+export makes each row's tokens once a rendering (solver.export_dimacs).
+Building a recipe costs about what counting its clauses would, and its
+memory is of the order of the rows it reads (the variable map's own), so
+there is one kind of Cnf: encode --stats counts the same one that DIMACS
+export renders.
 
 Cnf.num_vars is the one variable count of the pipeline: a literal run
 counts its own literals when it is closed, and a recipe reads only
@@ -136,14 +137,6 @@ class Rows:
             block[offset::period] = tokens(row)
         return "".join(block)
 
-    def size(self, tokens, row_size) -> int:
-        """len(text(tokens)), given row_size(row), the length of a row's
-        tokens together."""
-        fixed = list(map(len, tokens(self.pattern)))
-        for offset in self.offsets:
-            fixed[offset] = 0
-        return self.n * sum(fixed) + sum(map(row_size, self.rows))
-
 
 class Gather:
     """Recipe of a quantifier block: literal p is src[idx[p]], where src is
@@ -170,15 +163,6 @@ class Gather:
         by pick, itemgetter(*idx), which export builds once per template."""
         return "".join(pick(tokens(self.head) + tokens(self.tail)))
 
-    def size_bound(self, tokens, row_widest, head_counts) -> int:
-        """At least len(text(...)), and exactly it when the tail's tokens
-        are equally long: head literal j counted head_counts[j] times (how
-        often idx holds j), every other entry of idx as row_widest(tail),
-        the longest of the tail's tokens."""
-        heads = sum(map(mul, head_counts, map(len, tokens(self.head))))
-        return heads + (len(self.idx) - sum(head_counts)) * row_widest(
-            self.tail)
-
 
 class Cnf:
     """Clause store: a list of parts, each a run of whole 0-terminated
@@ -189,9 +173,8 @@ class Cnf:
     how the semantics encoding lays out a block repeated per domain
     element, or Gather, a quantifier block read through an index template.
     A recipe becomes ints only when asked (arrays, clauses); DIMACS
-    export renders it from the tokens of the int arrays it holds (text),
-    and bounds the text's length from their lengths (size, size_bound),
-    without joining them (solver.export_dimacs).
+    export renders it as one piece of text from the tokens of the int
+    arrays it holds (text), without joining them (solver.export_dimacs).
 
     num_vars is the one variable count of a Cnf: the largest count given
     to declare_vars or the largest |literal| of a literal run, whichever

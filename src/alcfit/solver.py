@@ -18,14 +18,14 @@ DIMACS export writes the Cnf's count in its header and refuses a literal
 beyond it, which only a recipe that reads undeclared variables can hold.
 
 One renderer makes the DIMACS clause text, piece by piece, for two sinks:
-``export_dimacs`` encodes the pieces into one buffer and returns it as
-ASCII bytes, so the text is held once, and a DIMACS session writes them
-straight to its clause file before it starts the solver's clock.  The
-renderer looks literals up in one list of tokens indexed by literal, a
-whole row or run at a time, and range-checks each int array once before
-it does.  Beside the text, an export holds that list, the tokens of each
-row the blocks share and, between its sizing pass and the write, the text
-of the literal runs, which it renders once.
+``export_dimacs`` returns a ``DimacsText`` that yields the pieces as ASCII
+bytes as they are made, so no sink holds the whole text, and a DIMACS
+session writes them straight to its clause file before it starts the
+solver's clock.  The renderer looks literals up in one list of tokens
+indexed by literal, a whole row or run at a time; each int array is
+range-checked once, before any text is made (``_check_literals``).  While
+it renders, an export holds that list, the tokens of each row the blocks
+share and the piece at hand.
 
 Budgets are cooperative: a conflict budget or wall-clock timeout makes the
 backend give up and report "unknown", it is never killed mid-solve.  A
@@ -37,7 +37,6 @@ must not be negative, and only the native backend takes one.
 from __future__ import annotations
 
 import ctypes
-import io
 import shlex
 import subprocess
 import tempfile
@@ -53,7 +52,7 @@ from .encoder import Cnf, EncodingError, Gather, VarMap
 __all__ = [
     "SolverError", "SolverConfig", "SolveOutcome", "SolverSession",
     "NativeSession", "DimacsSession", "make_session",
-    "export_dimacs", "parse_dimacs",
+    "DimacsText", "export_dimacs", "parse_dimacs",
 ]
 
 SAT = "sat"
@@ -263,105 +262,94 @@ def _by_id(make):
 
 
 class _Renderer:
-    """DIMACS text of a Cnf's parts over variables 1..num_vars: one piece
-    per recipe and per _CHUNK literals of a run, made as they are asked for
-    (pieces), or a close upper bound on their total length (size_bound).
+    """DIMACS text of a Cnf's parts over variables 1..num_vars, one piece
+    per recipe and per _CHUNK literals of a run, made as they are asked for.
 
     The tokens sit in one list indexed by literal: 0..num_vars from the
     front, -num_vars..-1 from the back, so a lookup is a list index, made
     at C level over a whole row or run.  Read from both ends, the list
     would map a literal in num_vars+1..2*num_vars to a negative literal's
-    token, so every int array is range-checked before it is looked up:
-    each row, pattern and head once, as its tokens are made once per
-    object (tokens), however many blocks share it, and each run slice as
-    it is rendered.  A literal beyond num_vars raises EncodingError: a run
-    counts its own literals, so only a recipe that reads undeclared
-    variables, an encoder bug, holds one.  size_bound renders each run
-    and keeps its text for pieces, so no run is looked up twice."""
+    token, so the parts must have passed _check_literals.  The tokens of
+    each row, pattern and head are made once per object (tokens), however
+    many blocks share it."""
 
     def __init__(self, num_vars: int):
         # "0\n" for the 0 that ends a clause
         table = [f"{lit} " for lit in range(num_vars + 1)]
         table[0] = "0\n"
         table += [f"{lit} " for lit in range(-num_vars, 0)]
-        self.num_vars = num_vars
         self._token = table.__getitem__
-        self.tokens = _by_id(
-            lambda lits: list(map(self._token, self._checked(lits))))
+        self.tokens = _by_id(lambda lits: list(map(self._token, lits)))
         self._pick = _by_id(lambda idx: itemgetter(*idx))
-        self._runs: dict[int, list[str]] = {}  # run texts size_bound made
-
-    def _checked(self, lits):
-        """lits, once none of them lies beyond num_vars."""
-        n = self.num_vars
-        if lits and (max(lits) > n or min(lits) < -n):
-            bad = next(lit for lit in lits if not -n <= lit <= n)
-            raise EncodingError(f"literal {bad} beyond the {n} declared "
-                                "variables")
-        return lits
-
-    def _run_pieces(self, run: array) -> Iterator[str]:
-        for start in range(0, len(run), _CHUNK):
-            chunk = self._checked(run[start:start + _CHUNK])
-            yield "".join(map(self._token, chunk))
 
     def pieces(self, parts) -> Iterator[str]:
         for part in parts:
             if isinstance(part, array):
-                yield from (self._runs.pop(id(part), None)
-                            or self._run_pieces(part))
+                for start in range(0, len(part), _CHUNK):
+                    yield "".join(map(self._token,
+                                      part[start:start + _CHUNK]))
             elif isinstance(part, Gather):
                 yield part.text(self.tokens, self._pick(part.idx))
             else:
                 yield part.text(self.tokens)
 
-    def size_bound(self, parts) -> int:
-        """Exact for runs and Rows; the entries of a Gather that read its
-        tail count as the tail's longest token."""
-        row_size = _by_id(lambda row: sum(map(len, self.tokens(row))))
-        widest = _by_id(lambda row: max(map(len, self.tokens(row)),
-                                        default=0))
-        heads: dict[tuple[int, int], list[int]] = {}  # per template
-        total = 0
-        for part in parts:
-            if isinstance(part, array):
-                text = self._runs[id(part)] = list(self._run_pieces(part))
-                total += sum(map(len, text))
-            elif isinstance(part, Gather):
-                key = (id(part.idx), len(part.head))
-                if key not in heads:
-                    heads[key] = list(map(part.idx.count,
-                                          range(len(part.head))))
-                total += part.size_bound(self.tokens, widest, heads[key])
-            else:
-                total += part.size(self.tokens, row_size)
-        return total
+
+def _check_literals(parts, num_vars: int) -> None:
+    """Raise EncodingError if an int array of the parts holds a literal
+    beyond num_vars, checking each array once, however many recipes share
+    it.  A run counts its own literals, so only a recipe that reads
+    undeclared variables, an encoder bug, holds one."""
+    seen: set[int] = set()
+    for part in parts:
+        if isinstance(part, array):
+            arrays = (part,)
+        elif isinstance(part, Gather):
+            arrays = (part.head, part.tail)
+        else:
+            arrays = (part.pattern, *part.rows)
+        for lits in arrays:
+            if id(lits) in seen:
+                continue
+            seen.add(id(lits))
+            if lits and (max(lits) > num_vars or min(lits) < -num_vars):
+                bad = next(lit for lit in lits
+                           if not -num_vars <= lit <= num_vars)
+                raise EncodingError(f"literal {bad} beyond the {num_vars} "
+                                    "declared variables")
 
 
-def export_dimacs(cnf: Cnf, vm: VarMap | None = None) -> bytes:
-    """Standard DIMACS text as ASCII bytes; with a variable map,
-    `c <id> = <tag>` comments document the encoding (stable across runs for
-    identical inputs).  The text is held once: the clause pieces are
-    encoded one at a time into one buffer, made at an upper bound of the
-    text's length and cut to it, which is returned without a copy."""
-    num_vars = max(cnf.num_vars, vm.num_vars if vm else 0)
-    render = _Renderer(num_vars)
-    size = render.size_bound(cnf.parts)
-    buf = io.BytesIO()
-    if vm is not None:
-        buf.write(("\n".join(vm.comment_lines()) + "\n").encode())
-    buf.write(f"p cnf {num_vars} {cnf.num_clauses}\n".encode())
-    # made at its full size at once: a buffer grown piece by piece is moved
-    # as it grows, which fragments the heap and raised the peak RSS of
-    # repeated exports
-    start = buf.tell()
-    buf.seek(start + size)
-    buf.write(b"\n")
-    buf.seek(start)
-    for piece in render.pieces(cnf.parts):
-        buf.write(piece.encode())
-    buf.truncate()
-    return buf.getvalue()
+class DimacsText:
+    """A Cnf's standard DIMACS text, made as it is read: iterating yields
+    it as ASCII byte pieces, each rendered as it is asked for, and len()
+    renders it once more to count them.  Between reads it holds only its
+    header and the Cnf's parts.  Making one range-checks every literal, so
+    a literal beyond the header's count raises EncodingError before any
+    text is read."""
+
+    def __init__(self, cnf: Cnf, vm: VarMap | None = None):
+        num_vars = max(cnf.num_vars, vm.num_vars if vm else 0)
+        self._parts = tuple(cnf.parts)
+        _check_literals(self._parts, num_vars)
+        comments = "" if vm is None else "\n".join(vm.comment_lines()) + "\n"
+        self._head = f"{comments}p cnf {num_vars} {cnf.num_clauses}\n"
+        self._num_vars = num_vars
+
+    def _pieces(self) -> Iterator[str]:
+        yield self._head
+        yield from _Renderer(self._num_vars).pieces(self._parts)
+
+    def __iter__(self) -> Iterator[bytes]:
+        return map(str.encode, self._pieces())
+
+    def __len__(self) -> int:
+        return sum(map(len, self._pieces()))
+
+
+def export_dimacs(cnf: Cnf, vm: VarMap | None = None) -> DimacsText:
+    """The Cnf's DIMACS text, to be written piece by piece; with a
+    variable map, `c <id> = <tag>` comments document the encoding (stable
+    across runs for identical inputs)."""
+    return DimacsText(cnf, vm)
 
 
 def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
@@ -418,6 +406,7 @@ class DimacsSession(SolverSession):
         if timeout is not None and timeout <= 0:
             return SolveOutcome(UNKNOWN, None, 0.0)
         total = self.num_clauses + len(assumptions)
+        _check_literals(self._cnf.parts, self.num_vars)
         fd, name = tempfile.mkstemp(suffix=".cnf", prefix="alcfit-")
         path = Path(name)
         try:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -323,6 +324,24 @@ def test_encode_stdout_matches_the_file(fig1_manifest, tmp_path,
         assert text.getvalue().encode() == out.read_bytes()
 
 
+def test_encode_to_a_closed_pipe(tmp_path):
+    # a reader that takes one line and closes the pipe leaves the rest of
+    # the text nowhere to go, which is no error
+    manifest = save_sample(gen_random(60, 3, 2, 0.05, 10, 10, seed=1),
+                           tmp_path, "random")
+    src = Path(alcfit.cli.__file__).parents[1]
+    run_main = "import sys; from alcfit.cli import main; sys.exit(main())"
+    with open(tmp_path / "err", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", run_main, "encode", str(manifest),
+             "--max-size", "6"], stdout=subprocess.PIPE, stderr=err,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=300)
+    assert (code, (tmp_path / "err").read_bytes()) == (0, b"")
+
+
 def test_encode_output_is_pinned(tmp_path, capsys):
     # the whole file, comments included: a change to the order in which ids
     # are allocated, or to the text, changes the digest
@@ -341,7 +360,7 @@ def test_encode_output_is_pinned(tmp_path, capsys):
 
 def test_encode_leaves_the_file_on_an_encoding_error(fig1_manifest, tmp_path,
                                                     monkeypatch):
-    # the whole text is rendered before the file is opened
+    # every literal is range-checked before the file is opened
     def undeclared_fitting(sample, vm):
         cnf = Cnf()
         _add_rows(cnf, "t", 1, (array("i", [vm.num_vars + 1]),))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import inspect
 import itertools
 import os
@@ -361,10 +362,15 @@ def test_rust_crates_are_rustfmt_clean(crate):
 
 # -- DIMACS
 
+def exported(cnf: Cnf, vm=None) -> bytes:
+    """The whole text export_dimacs yields, joined."""
+    return b"".join(export_dimacs(cnf, vm))
+
+
 def test_export_dimacs_minimal_example():
     cnf = Cnf()
     cnf.add("t", [1, -2])
-    assert export_dimacs(cnf) == b"p cnf 2 1\n1 -2 0\n"
+    assert exported(cnf) == b"p cnf 2 1\n1 -2 0\n"
 
 
 def test_export_dimacs_counts_undeclared_variables():
@@ -373,7 +379,7 @@ def test_export_dimacs_counts_undeclared_variables():
     cnf = Cnf()
     cnf.declare_vars(2)
     cnf.add("t", [1, -5])
-    assert export_dimacs(cnf) == b"p cnf 5 1\n1 -5 0\n"
+    assert exported(cnf) == b"p cnf 5 1\n1 -5 0\n"
 
 
 def test_export_dimacs_refuses_undeclared_recipe_literals():
@@ -385,7 +391,7 @@ def test_export_dimacs_refuses_undeclared_recipe_literals():
     with pytest.raises(EncodingError, match="literal -3 beyond the 2"):
         export_dimacs(cnf)
     cnf.declare_vars(3)
-    assert export_dimacs(cnf) == b"p cnf 3 3\n1 -2 0\n-1 2 0\n-1 -3 0\n"
+    assert exported(cnf) == b"p cnf 3 3\n1 -2 0\n-1 2 0\n-1 -3 0\n"
 
     # the token list is read from both ends: n + 1..2n and -(n + 1) would
     # silently take another literal's token, so each must be refused, in a
@@ -408,12 +414,12 @@ def test_export_dimacs_refuses_undeclared_recipe_literals():
 
 
 def test_export_dimacs_empty():
-    assert export_dimacs(Cnf()) == b"p cnf 0 0\n"
+    assert exported(Cnf()) == b"p cnf 0 0\n"
 
 
 def test_export_dimacs_with_varmap_comments(fig1_sample):
     cnf, vm = build_encoding(fig1_sample, 2, O_ALL)
-    text = export_dimacs(cnf, vm).decode("ascii")
+    text = exported(cnf, vm).decode("ascii")
     lines = text.splitlines()
     assert lines[0].startswith("c 1 = x[1,")
     header = next(l for l in lines if l.startswith("p "))
@@ -422,7 +428,7 @@ def test_export_dimacs_with_varmap_comments(fig1_sample):
 
 def test_parse_dimacs_round_trip(fig1_sample):
     cnf, vm = build_encoding(fig1_sample, 4, O_ALL)
-    num_vars, clauses = parse_dimacs(export_dimacs(cnf, vm).decode())
+    num_vars, clauses = parse_dimacs(exported(cnf, vm).decode())
     assert num_vars == vm.num_vars
     assert len(clauses) == cnf.num_clauses
     session = NativeSession()
@@ -473,14 +479,12 @@ def expanded_clauses(cnf: Cnf) -> list[list[int]]:
     return out
 
 
-def assert_close_size_bound(cnf: Cnf, num_vars: int, text: str) -> None:
-    """The bound export sizes its buffer by holds the clause text, and is
-    exact unless a Gather's tail mixes token lengths."""
-    body = len(text.partition("\n")[2])  # the text after the header
-    bound = solver._Renderer(num_vars).size_bound(cnf.parts)
-    assert body <= bound
-    if not any(isinstance(part, Gather) for part in cnf.parts):
-        assert bound == body
+def assert_reads_alike(cnf: Cnf, vm, text: str) -> None:
+    """export_dimacs(cnf, vm) yields text, bytes for characters, at every
+    read, and its len() counts them exactly."""
+    dimacs = export_dimacs(cnf, vm)
+    assert len(dimacs) == len(text)
+    assert b"".join(dimacs) == b"".join(dimacs) == text.encode()
 
 
 def test_export_matches_per_clause_text_with_roles():
@@ -489,7 +493,7 @@ def test_export_matches_per_clause_text_with_roles():
     clauses = list(cnf.clauses())
     # many blocks, many pieces of text
     assert sum(map(len, cnf.arrays())) > 1 << 16
-    text = export_dimacs(cnf).decode("ascii")
+    text = exported(cnf).decode("ascii")
     assert text == per_clause_text(vm.num_vars, clauses)
     assert parse_dimacs(text) == (vm.num_vars, clauses)
     assert len(clauses) == cnf.num_clauses
@@ -522,12 +526,11 @@ def test_export_renders_encodings_clause_by_clause(seed, elements, names,
     clauses = list(cnf.clauses())
     assert clauses == expanded_clauses(cnf)
     assert len(clauses) == cnf.num_clauses
-    text = export_dimacs(cnf).decode("ascii")
-    assert text == per_clause_text(vm.num_vars, clauses)
-    assert_close_size_bound(cnf, vm.num_vars, text)
-    assert export_dimacs(cnf, vm).decode("ascii") == (
-        "".join(f"c {v} = {vm.describe(v)}\n"
-                for v in range(1, vm.num_vars + 1)) + text)
+    text = per_clause_text(vm.num_vars, clauses)
+    assert_reads_alike(cnf, None, text)
+    assert_reads_alike(cnf, vm, "".join(
+        f"c {v} = {vm.describe(v)}\n" for v in range(1, vm.num_vars + 1))
+        + text)
     assert list(cnf.clauses()) == clauses  # rendering changed nothing
 
 
@@ -602,27 +605,30 @@ def test_export_renders_hand_built_mixes(steps):
     assert clauses == expected == expanded_clauses(cnf)
     num_vars = max([declared] + [abs(lit) for c in expected for lit in c])
     text = per_clause_text(num_vars, expected)
-    assert export_dimacs(cnf) == text.encode()
-    assert_close_size_bound(cnf, num_vars, text)
+    assert_reads_alike(cnf, None, text)
     assert list(cnf.clauses()) == clauses
 
 
-def test_export_holds_the_text_once():
-    # the text is encoded piece by piece into one buffer made at its size;
-    # besides it, an export holds only its token list, the tokens of the
-    # rows the blocks share and the text of the literal runs
+def test_export_holds_no_text():
+    # the text is made piece by piece as it is read; besides the piece at
+    # hand, an export holds only its header, its token list and the
+    # tokens of the rows the blocks share
     sample = gen_random(300, 3, 2, 0.02, 5, 5, seed=1)
     cnf, vm = encode_size(sample, 7, O_ALL)
     cnf.absorb(encode_fitting(sample, vm))
+    sink = hashlib.sha256()
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        text = export_dimacs(cnf, vm)
+        for piece in export_dimacs(cnf, vm):
+            sink.update(piece)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert len(text) > 2_000_000
-    assert peak <= 1.6 * len(text)
+    size = len(export_dimacs(cnf, vm))
+    assert sink.digest() == hashlib.sha256(exported(cnf, vm)).digest()
+    assert size > 2_000_000
+    assert peak <= 0.75 * size
 
 
 def test_dimacs_solve_times_the_solver_alone(monkeypatch):
