@@ -21,7 +21,7 @@
 //!     budget means unlimited, a non-positive timeout no wall-clock limit;
 //!   * `satbridge_model` copies the last model at once: `out[v]` becomes
 //!     +1 / -1 / 0 for variable `v` true / false / unassigned, `out[0]` 0;
-//!   * `satbridge_conflicts` gives -1 where the backend does not count them;
+//!   * `satbridge_conflicts` gives the conflicts of the last solve;
 //!   * `satbridge_signature` returns an owned C string, which the caller
 //!     frees with `satbridge_string_free`.
 
@@ -46,10 +46,8 @@ pub trait Backend {
     /// +1 / -1 / 0: variable `var` true / false / unassigned in the last model.
     fn value(&self, var: i32) -> i8;
 
-    /// Conflicts met by the last solve; -1 where the backend does not count.
-    fn conflicts(&self) -> i64 {
-        -1
-    }
+    /// Conflicts met by the last solve.
+    fn conflicts(&self) -> i64;
 
     /// The backing solver's name and version.
     fn signature(&self) -> String;

@@ -50,6 +50,11 @@ impl Backend for Fake {
         }
     }
 
+    /// The number of solves so far.
+    fn conflicts(&self) -> i64 {
+        self.solves.len() as i64
+    }
+
     fn signature(&self) -> String {
         "fake-0.1".to_string()
     }
@@ -134,10 +139,13 @@ fn the_model_fills_slot_zero_with_zero() {
 }
 
 #[test]
-fn conflicts_default_to_minus_one_and_the_signature_is_an_owned_string() {
+fn conflicts_reach_the_abi_and_the_signature_is_an_owned_string() {
     unsafe {
         let ptr = satbridge_new();
-        assert_eq!(satbridge_conflicts(ptr), -1);
+        assert_eq!(satbridge_conflicts(ptr), 0);
+        satbridge_solve(ptr, ptr::null(), 0, -1, 0.0);
+        satbridge_solve(ptr, ptr::null(), 0, -1, 0.0);
+        assert_eq!(satbridge_conflicts(ptr), 2);
         let raw = satbridge_signature(ptr);
         assert_eq!(CStr::from_ptr(raw).to_str(), Ok("fake-0.1"));
         satbridge_string_free(raw);

@@ -1,7 +1,6 @@
 //! The built-in CDCL solver of [`solver`] behind the `satbridge` C ABI of
 //! `native/abi`, with no dependencies outside this repository, so the Python
 //! package has a SAT backend wherever a Rust toolchain works offline.
-//! Drop-in replacement for the CaDiCaL shim in `native/satbridge`.
 
 mod solver;
 

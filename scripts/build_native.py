@@ -1,17 +1,13 @@
 #!/usr/bin/env python3
 """Rebuild the Rust SAT bridge and copy it into the package tree.
 
-Run after changing native/abi/src/, native/cdcl/src/ or
-native/satbridge/src/lib.rs:
+Run after changing native/abi/src/ or native/cdcl/src/:
 
     python3 scripts/build_native.py [--profile release]
 
-The CaDiCaL bridge (native/satbridge) is tried first; it needs its `cadical`
-crate, which cargo fetches from the registry.  If that build fails, the
-built-in CDCL solver (native/cdcl, no dependencies outside native/) is built
-offline instead.  Both implement the `Backend` trait of native/abi, whose
-`satbridge_abi!` macro writes the one C ABI; the script prints which crate
-it used.
+Builds the built-in CDCL solver of native/cdcl offline (it has no
+dependencies outside native/), which implements the `Backend` trait of
+native/abi, whose `satbridge_abi!` macro writes the one C ABI.
 """
 
 from __future__ import annotations
@@ -24,12 +20,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CADICAL_CRATE = ROOT / "native" / "satbridge"
-BUILTIN_CRATE = ROOT / "native" / "cdcl"
-# cargo's output directory per crate: the built-in solver is a member of the
-# native/ workspace, the CaDiCaL bridge a workspace of its own
-TARGETS = {CADICAL_CRATE: CADICAL_CRATE / "target",
-           BUILTIN_CRATE: ROOT / "native" / "target"}
+CRATE = ROOT / "native" / "cdcl"
+TARGET = ROOT / "native" / "target"  # the native/ workspace's output
 DEST = ROOT / "src" / "alcfit" / "_native"
 
 _LIB_NAMES = {
@@ -39,26 +31,6 @@ _LIB_NAMES = {
 }
 
 
-def build(crate: Path, profile: str, lib_name: str,
-          offline: bool) -> Path | None:
-    """Run cargo in the crate; the built library, or None on failure."""
-    cmd = ["cargo", "build"]
-    if profile == "release":
-        cmd.append("--release")
-    if offline:
-        cmd.append("--offline")
-    print("+", " ".join(cmd), f"(in {crate})", flush=True)
-    try:
-        proc = subprocess.run(cmd, cwd=crate)
-    except OSError as exc:
-        print(f"error: cannot run cargo: {exc}", file=sys.stderr)
-        return None
-    built = TARGETS[crate] / profile / lib_name
-    if proc.returncode != 0 or not built.exists():
-        return None
-    return built
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--profile", choices=("release", "debug"),
@@ -66,21 +38,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     lib_name = _LIB_NAMES.get(platform.system(), "libsatbridge.so")
-    crate = CADICAL_CRATE
-    built = build(crate, args.profile, lib_name, offline=False)
-    if built is None:
-        print(f"{crate.relative_to(ROOT)} (CaDiCaL) did not build; "
-              "falling back to the built-in CDCL solver", flush=True)
-        crate = BUILTIN_CRATE
-        built = build(crate, args.profile, lib_name, offline=True)
-    if built is None:
-        print(f"error: {crate.relative_to(ROOT)} did not build",
+    cmd = ["cargo", "build", "--offline"]
+    if args.profile == "release":
+        cmd.append("--release")
+    print("+", " ".join(cmd), f"(in {CRATE})", flush=True)
+    try:
+        proc = subprocess.run(cmd, cwd=CRATE)
+    except OSError as exc:
+        print(f"error: cannot run cargo: {exc}", file=sys.stderr)
+        return 1
+    built = TARGET / args.profile / lib_name
+    if proc.returncode != 0 or not built.exists():
+        print(f"error: {CRATE.relative_to(ROOT)} did not build",
               file=sys.stderr)
         return 1
     DEST.mkdir(parents=True, exist_ok=True)
     shutil.copy2(built, DEST / lib_name)
-    print(f"used {crate.relative_to(ROOT)}: copied {built} -> "
-          f"{DEST / lib_name}")
+    print(f"copied {built} -> {DEST / lib_name}")
     return 0
 
 

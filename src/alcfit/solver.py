@@ -1,15 +1,14 @@
 """Incremental SAT sessions: an in-process native backend and a DIMACS
 subprocess fallback, behind one small session contract.
 
-The native backend is a solver library behind a tiny C ABI (bundled as
-``_native/libsatbridge.so``; rebuild with ``scripts/build_native.py``).  The
-ABI and its conventions are written once, by the ``satbridge_abi!`` macro of
-``native/abi``, over a ``Backend`` trait that each solver crate implements.
-The bundled build is the built-in CDCL solver of ``native/cdcl``; a CaDiCaL
-build from ``native/satbridge`` exports the same ABI and is used instead
-where its crate resolves.  ``NativeSession.signature()`` names the one
-loaded.  Both are deterministic for a fixed clause sequence; the configured
-seed reaches no solver yet, so the search is fixed by the clauses alone.
+The native backend is the built-in CDCL solver of ``native/cdcl`` behind a
+tiny C ABI (bundled as ``_native/libsatbridge.so``; rebuild with
+``scripts/build_native.py``).  The ABI and its conventions are written
+once, by the ``satbridge_abi!`` macro of ``native/abi``, over a ``Backend``
+trait that the solver crate implements.  The solver is deterministic for a
+fixed clause sequence; the configured seed does not reach it yet, so
+the search is fixed by the clauses alone.  Any other solver runs as a DIMACS
+subprocess (``dimacs:<command>``).
 
 A session counts no literals itself: its variable count is the largest
 ``Cnf.num_vars`` it was given (see ``encoder.Cnf``), |assumption| or
@@ -17,12 +16,12 @@ A session counts no literals itself: its variable count is the largest
 DIMACS export writes the Cnf's count in its header and refuses a literal
 beyond it, which only a recipe that reads undeclared variables can hold.
 
-One renderer makes the DIMACS clause text, piece by piece, for two sinks:
-``export_dimacs`` returns a ``DimacsText`` that yields the pieces as ASCII
-bytes as they are made, so no sink holds the whole text, and a DIMACS
-session writes them straight to its clause file before it starts the
-solver's clock.  The renderer looks literals up in one list of tokens
-indexed by literal, a whole row or run at a time; each int array is
+``export_dimacs`` makes the DIMACS text: a ``DimacsText`` that yields it
+as ASCII byte pieces as they are rendered, so no sink holds the whole
+text.  ``alcfit encode`` writes it to its output, and a DIMACS session
+writes it, for its clauses and assumptions, to the clause file before it
+starts the solver's clock.  The renderer looks literals up in one list of
+tokens indexed by literal, a whole row or run at a time; each int array is
 range-checked once, before any text is made (``_check_literals``).  While
 it renders, an export holds that list, the tokens of each row the blocks
 share and the piece at hand.
@@ -75,7 +74,7 @@ class SolveOutcome:
     status: str                    # sat / unsat / unknown
     model: tuple[bool, ...] | None  # indexed by variable id; [0] unused
     time: float
-    conflicts: int | None = None   # None where the backend does not count
+    conflicts: int | None = None   # None from a DIMACS or a skipped solve
 
     @property
     def is_sat(self) -> bool:
@@ -218,8 +217,6 @@ class NativeSession(SolverSession):
             0.0 if timeout is None else timeout)
         elapsed = time.perf_counter() - start
         conflicts = self._lib.satbridge_conflicts(self._ptr)
-        if conflicts < 0:
-            conflicts = None
         if rc == 10:
             values = (ctypes.c_int8 * (self.num_vars + 1))()
             self._lib.satbridge_model(self._ptr, values, len(values))
@@ -379,12 +376,13 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
 
 
 class DimacsSession(SolverSession):
-    """One-shot subprocess backend: each solve writes the accumulated
-    clauses (assumptions appended as units) to a fresh DIMACS file and runs
-    the configured command on it.  Exit code 10 or an `s SATISFIABLE` line
-    means sat, 20 / `s UNSATISFIABLE` unsat, any other `s` line (such as
-    `s UNKNOWN`) or a timeout unknown.  A command that exits otherwise
-    without an `s` line has failed: SolverError."""
+    """One-shot subprocess backend: each solve writes export_dimacs of the
+    accumulated clauses (assumptions appended as units) to a fresh file and
+    runs the configured command on it.  Exit code 10 or an `s SATISFIABLE`
+    line means sat, 20 / `s UNSATISFIABLE` unsat, any other `s` line (such
+    as `s UNKNOWN`) or a timeout unknown.  A command that exits otherwise
+    without an `s` line, or answers sat without a `v` line, has failed:
+    SolverError."""
 
     def __init__(self, command: str, config: SolverConfig = SolverConfig()):
         super().__init__(config)
@@ -405,17 +403,17 @@ class DimacsSession(SolverSession):
         assumptions = self._assumed(assumptions)
         if timeout is not None and timeout <= 0:
             return SolveOutcome(UNKNOWN, None, 0.0)
-        total = self.num_clauses + len(assumptions)
-        _check_literals(self._cnf.parts, self.num_vars)
+        cnf = Cnf().absorb(self._cnf)
+        for lit in assumptions:
+            cnf.add("assumption", [lit])
+        cnf.declare_vars(self.num_vars)
+        text = export_dimacs(cnf)
         fd, name = tempfile.mkstemp(suffix=".cnf", prefix="alcfit-")
         path = Path(name)
         try:
             # written as rendered; the clock covers the solver alone
-            with open(fd, "w", encoding="ascii") as fh:
-                fh.write(f"p cnf {self.num_vars} {total}\n")
-                fh.writelines(
-                    _Renderer(self.num_vars).pieces(self._cnf.parts))
-                fh.writelines(f"{lit} 0\n" for lit in assumptions)
+            with open(fd, "wb") as fh:
+                fh.writelines(text)
             start = time.perf_counter()
             try:
                 proc = subprocess.run(
@@ -436,7 +434,7 @@ class DimacsSession(SolverSession):
         elif proc.returncode == 20:
             status = UNSAT
         values: dict[int, bool] = {}
-        answered = False
+        answered = modelled = False
         for raw in proc.stdout.splitlines():
             line = raw.strip()
             if line.startswith("s "):
@@ -447,6 +445,7 @@ class DimacsSession(SolverSession):
                 elif verdict == "UNSATISFIABLE":
                     status = UNSAT
             elif line.startswith("v "):
+                modelled = True
                 for tok in line[2:].split():
                     lit = int(tok)
                     if lit:
@@ -458,6 +457,9 @@ class DimacsSession(SolverSession):
                 "gave no answer"
                 + (f": {errors[-1].strip()}" if errors else ""))
         if status == SAT:
+            if not modelled:
+                raise SolverError(f"{self._argv[0]!r} answered SAT but gave "
+                                  "no model (no `v` line)")
             model = tuple(values.get(v, False)
                           for v in range(self.num_vars + 1))
             return SolveOutcome(SAT, model, elapsed)

@@ -160,13 +160,17 @@ def test_usage_errors(fig1_manifest):
 
 
 def test_solver_errors(fig1_manifest, capsys):
-    # a backend that is unknown, cannot be run, or fails: one error line
-    # and sysexits EX_UNAVAILABLE, not a traceback or a timeout
+    # a backend that is unknown, cannot be run, fails or answers SAT without
+    # a model: one error line and sysexits EX_UNAVAILABLE, not a traceback
+    # or a timeout
     crash = f"{sys.executable} -c 'import sys; sys.exit(3)'"
+    bare = f"{sys.executable} -c 'import sys; sys.exit(10)'"
     for backend, message in (("bogus", "unknown backend 'bogus'"),
                              ("dimacs:no-such-binary",
                               "cannot run 'no-such-binary'"),
-                             (f"dimacs:{crash}", "exited with code 3")):
+                             (f"dimacs:{crash}", "exited with code 3"),
+                             (f"dimacs:{bare}", "answered SAT but gave no "
+                                                "model")):
         capsys.readouterr()
         assert main(["fit", str(fig1_manifest),
                      "--backend", backend]) == 69, backend
