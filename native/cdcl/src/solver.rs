@@ -205,7 +205,6 @@ pub struct Solver {
     stamp: u64,
     model: Vec<i8>, // by variable, from the last satisfiable solve
     assumptions: Vec<Lit>,
-    added: u64, // original clauses handed to `add_clause`
     next_reduce: u64,
     reductions: u64,
     conflicts: u64,
@@ -238,17 +237,12 @@ impl Solver {
             stamp: 0,
             model: Vec::new(),
             assumptions: Vec::new(),
-            added: 0,
             next_reduce: 2000,
             reductions: 0,
             conflicts: 0,
             decisions: 0,
             last_conflicts: 0,
         }
-    }
-
-    pub fn num_clauses(&self) -> u64 {
-        self.added
     }
 
     /// Conflicts met by the last call to `solve`.
@@ -387,7 +381,6 @@ impl Solver {
 
     /// Add a clause of DIMACS literals.  Always called at decision level 0.
     pub fn add_clause(&mut self, dimacs: &[i32]) {
-        self.added += 1;
         let mut lits: Vec<Lit> = dimacs
             .iter()
             .filter(|&&l| l != 0)
@@ -976,6 +969,5 @@ mod tests {
         assert_eq!(solver.solve(&[], None, None), Status::Unsat);
         assert_eq!(solver.value(1), 0);
         assert_eq!(solver.num_vars(), 2);
-        assert_eq!(solver.num_clauses(), 3);
     }
 }

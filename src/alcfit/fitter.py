@@ -71,8 +71,8 @@ class FitConfig:
     def __post_init__(self) -> None:
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError("budget must be at least 0")
+        if self.budget is not None and not self.budget >= 0:  # NaN too
+            raise ValueError(f"budget must be at least 0, not {self.budget}")
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@ subprocess fallback, behind one small session contract.
 
 The native backend is the built-in CDCL solver of ``native/cdcl`` behind a
 tiny C ABI (bundled as ``_native/libsatbridge.so``; rebuild with
-``scripts/build_native.py``).  The ABI and its conventions are written
-once, by the ``satbridge_abi!`` macro of ``native/abi``, over a ``Backend``
-trait that the solver crate implements.  The solver is deterministic for a
-fixed clause sequence; the configured seed does not reach it yet, so
+``scripts/build_native.py``).  The eight ``satbridge_*`` calls and their
+conventions are written in ``native/cdcl/src/lib.rs``, directly over the
+solver, and ``_load_library`` binds each one.  The solver is deterministic
+for a fixed clause sequence; the configured seed does not reach it yet, so
 the search is fixed by the clauses alone.  Any other solver runs as a DIMACS
 subprocess (``dimacs:<command>``).
 
@@ -29,13 +29,15 @@ share and the piece at hand.
 Budgets are cooperative: a conflict budget or wall-clock timeout makes the
 backend give up and report "unknown", it is never killed mid-solve.  A
 timeout of zero or less means the time is already up: the solve reports
-"unknown" without searching.  ``None`` means no limit.  A conflict budget
-must not be negative, and only the native backend takes one.
+"unknown" without searching.  ``None`` means no limit, and a NaN timeout
+is refused.  A conflict budget must not be negative, and only the native
+backend takes one.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import shlex
 import subprocess
 import tempfile
@@ -206,6 +208,8 @@ class NativeSession(SolverSession):
               timeout: float | None = None) -> SolveOutcome:
         if conflict_budget is not None and conflict_budget < 0:
             raise ValueError(f"negative conflict budget {conflict_budget}")
+        if timeout is not None and math.isnan(timeout):
+            raise ValueError("timeout is NaN")
         assumptions = self._assumed(assumptions)
         if timeout is not None and timeout <= 0:
             return SolveOutcome(UNKNOWN, None, 0.0)
@@ -400,6 +404,8 @@ class DimacsSession(SolverSession):
               timeout: float | None = None) -> SolveOutcome:
         if conflict_budget is not None:
             raise SolverError("the DIMACS backend takes no conflict budget")
+        if timeout is not None and math.isnan(timeout):
+            raise ValueError("timeout is NaN")
         assumptions = self._assumed(assumptions)
         if timeout is not None and timeout <= 0:
             return SolveOutcome(UNKNOWN, None, 0.0)

@@ -189,6 +189,7 @@ def test_arguments_are_checked_before_the_input(tmp_path, capsys):
             (["fit", "--max-size", "0"], "k_max must be at least 1"),
             (["fit", "--folds", "1"], "--folds needs at least 2"),
             (["fit", "--timeout", "-1"], "budget must be at least 0"),
+            (["fit", "--timeout", "nan"], "budget must be at least 0"),
             (["verify", "A and"], "unexpected end of input")):
         capsys.readouterr()
         assert main([argv[0], str(manifest), *argv[1:]]) == 65, argv

@@ -240,8 +240,9 @@ def test_empty_sample_fits_trivially():
 
 
 def test_config_rejects_a_negative_budget():
-    with pytest.raises(ValueError, match="budget must be at least 0"):
-        FitConfig(budget=-1)
+    for budget in (-1, float("nan")):
+        with pytest.raises(ValueError, match="budget must be at least 0"):
+            FitConfig(budget=budget)
     assert FitConfig(budget=0).budget == 0
 
 

@@ -35,8 +35,8 @@ DIMACS_SOLVER = (f"{sys.executable} "
                  f"{Path(__file__).parent.parent / 'scripts' / 'dimacs_solve.py'}")
 BACKENDS = pytest.mark.parametrize(
     "backend", ["native", f"dimacs:{DIMACS_SOLVER}"], ids=["native", "dimacs"])
-NATIVE = Path(__file__).parent.parent / "native"
-RUST_CRATES = pytest.mark.parametrize("crate", ("abi", "cdcl"))
+ROOT = Path(__file__).parent.parent
+CRATE = ROOT / "native" / "cdcl"
 
 
 def pigeonhole(holes: int) -> Cnf:
@@ -80,7 +80,7 @@ def test_native_assumptions_do_not_stick():
 
 
 def test_native_signature_names_the_built_in_solver():
-    manifest = (NATIVE / "cdcl" / "Cargo.toml").read_text()
+    manifest = (CRATE / "Cargo.toml").read_text()
     version = re.search(r'^version = "(.+)"$', manifest, re.MULTILINE)[1]
     session = NativeSession()
     try:
@@ -125,6 +125,20 @@ def test_negative_conflict_budget_is_refused():
         session.add_cnf(pigeonhole(5))
         with pytest.raises(ValueError, match="negative conflict budget"):
             session.solve(conflict_budget=-1)
+    finally:
+        session.close()
+
+
+@BACKENDS
+def test_nan_timeout_is_refused(backend):
+    # NaN is neither a limit nor spent: the ABI would read it as no limit,
+    # and subprocess.run fails on it only once the solver has started
+    session = make_session(SolverConfig(backend=backend))
+    try:
+        session.add_clause([1])
+        with pytest.raises(ValueError, match="timeout is NaN"):
+            session.solve(timeout=float("nan"))
+        assert session.solve(timeout=5.0).status == "sat"
     finally:
         session.close()
 
@@ -273,15 +287,12 @@ def test_declare_vars_reserves_ids():
 
 
 def test_the_shim_and_python_agree_on_the_abi():
-    # the solver crate exports the one ABI macro, in step with what Python
-    # binds and with the bundled library
-    macro = (NATIVE / "abi" / "src" / "lib.rs").read_text()
+    # the solver crate's C calls are what Python binds and what the bundled
+    # library exports
+    shim = (CRATE / "src" / "lib.rs").read_text()
     abi = set(re.findall(
         r'#\[no_mangle\]\s*pub (?:unsafe )?extern "C" fn (satbridge_\w+)',
-        macro))
-    shim = (NATIVE / "cdcl" / "src" / "lib.rs").read_text()
-    assert re.search(r"^satbridge_abi!\(\w+\);$", shim, re.MULTILINE)
-    assert "no_mangle" not in shim
+        shim))
     bound = set(re.findall(r"\blib\.(satbridge_\w+)",
                            inspect.getsource(solver._load_library)))
     assert len(abi) == 8 and abi == bound
@@ -293,28 +304,32 @@ def test_the_shim_and_python_agree_on_the_abi():
 
 
 @pytest.mark.skipif(shutil.which("cargo") is None, reason="no cargo on PATH")
-@RUST_CRATES
-def test_rust_crate_tests_pass(crate):
-    # the ABI macro over a fake backend, and the built-in solver against
-    # brute force; both crates build offline
+def test_rust_crate_tests_pass():
+    # the C calls on the built-in solver, and the solver against brute
+    # force; the crate builds offline
     proc = subprocess.run(["cargo", "test", "--offline", "--quiet"],
-                          cwd=NATIVE / crate, capture_output=True, text=True,
+                          cwd=CRATE, capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("cargo") is None, reason="no cargo on PATH")
 def test_bundled_library_is_built_from_its_source(tmp_path):
-    # the library Python loads must be what native/cdcl builds to; the
-    # release build does not depend on the checkout's path or target dir
-    env = {**os.environ, "CARGO_TARGET_DIR": str(tmp_path)}
-    proc = subprocess.run(["cargo", "build", "--release", "--offline"],
-                          cwd=NATIVE / "cdcl", capture_output=True,
-                          text=True, timeout=600, env=env)
+    # the build script, run from another checkout path into another target
+    # dir, copies a library identical to the one Python loads
+    checkout, target = tmp_path / "checkout", tmp_path / "target"
+    (checkout / "scripts").mkdir(parents=True)
+    shutil.copy2(ROOT / "scripts" / "build_native.py", checkout / "scripts")
+    shutil.copytree(CRATE, checkout / "native" / "cdcl",
+                    ignore=shutil.ignore_patterns("target"))
+    proc = subprocess.run(
+        [sys.executable, str(checkout / "scripts" / "build_native.py")],
+        capture_output=True, text=True, timeout=600,
+        env={**os.environ, "CARGO_TARGET_DIR": str(target)})
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    built = tmp_path / "release" / "libsatbridge.so"
-    bundled = NATIVE.parent / "src" / "alcfit" / "_native" / "libsatbridge.so"
-    assert built.read_bytes() == bundled.read_bytes()
+    native = Path("src") / "alcfit" / "_native" / "libsatbridge.so"
+    built = (checkout / native).read_bytes()
+    assert built == (ROOT / native).read_bytes()
 
 
 def _has_cargo(tool: str) -> bool:
@@ -327,21 +342,20 @@ def _has_cargo(tool: str) -> bool:
 
 @pytest.mark.skipif(not _has_cargo("clippy"),
                     reason="no cargo clippy installed")
-@RUST_CRATES
-def test_rust_crates_are_clippy_clean(crate):
+def test_rust_crate_is_clippy_clean():
     # the C calls dereference raw pointers, so clippy asks for them to be
-    # unsafe; tests and library alike build with no warning
+    # unsafe and for a `# Safety` section on each; tests and library alike
+    # build with no warning
     proc = subprocess.run(["cargo", "clippy", "--offline", "--all-targets",
                            "--", "-D", "warnings"],
-                          cwd=NATIVE / crate, capture_output=True, text=True,
+                          cwd=CRATE, capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.skipif(not _has_cargo("fmt"), reason="no cargo fmt installed")
-@RUST_CRATES
-def test_rust_crates_are_rustfmt_clean(crate):
-    proc = subprocess.run(["cargo", "fmt", "--check"], cwd=NATIVE / crate,
+def test_rust_crate_is_rustfmt_clean():
+    proc = subprocess.run(["cargo", "fmt", "--check"], cwd=CRATE,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
