@@ -17,7 +17,7 @@
 //!     of clauses added;
 //!   * `satbridge_solve` returns 10 (SAT), 20 (UNSAT) or 0 (unknown: a budget
 //!     ran out), mirroring SAT-competition exit codes; a negative conflict
-//!     budget means unlimited, a non-positive timeout no wall-clock limit;
+//!     budget means unlimited, a non-positive or unreachable timeout no limit;
 //!   * `satbridge_model` copies the last model at once: `out[v]` becomes
 //!     +1 / -1 / 0 for variable `v` true / false / unassigned, `out[0]` 0;
 //!   * `satbridge_conflicts` gives the conflicts of the last solve;
@@ -208,6 +208,16 @@ mod tests {
             satbridge_model(ptr, out.as_mut_ptr(), out.len());
             assert_eq!(out, [0, -1, 1, 1, 0]);
             assert_eq!(satbridge_solve(ptr, unsat.as_ptr(), 2, -1, 0.0), 20);
+            satbridge_free(ptr);
+        }
+    }
+
+    #[test]
+    fn a_timeout_beyond_the_clock_is_no_limit() {
+        // 1e19 s fits a Duration but not an Instant
+        unsafe {
+            let ptr = satbridge_new();
+            assert_eq!(satbridge_solve(ptr, ptr::null(), 0, -1, 1e19), 10);
             satbridge_free(ptr);
         }
     }

@@ -790,14 +790,15 @@ impl Solver {
 
     /// Solve under `assumptions` (DIMACS literals).  `conflict_budget` caps the
     /// conflicts of this call (at most that many are analysed) and `timeout`
-    /// its wall-clock time; both apply to this call only.
+    /// its wall-clock time; both apply to this call only.  A timeout too long
+    /// for the clock to reach is no limit.
     pub fn solve(
         &mut self,
         assumptions: &[i32],
         conflict_budget: Option<u64>,
         timeout: Option<Duration>,
     ) -> Status {
-        let deadline = timeout.map(|t| Instant::now() + t);
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
         let before = self.conflicts;
         self.last_conflicts = 0;
         self.model.clear();

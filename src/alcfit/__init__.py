@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from .concepts import (And, Bot, Concept, ConceptError, Exists, Forall, Name,
                        Not, O_ALL, OperatorSet, Or, Signature, Top,
-                       dual_operators, dualize_concept, evaluate, fits,
+                       dual_operators, dualize_concept, evaluate,
                        format_operators, in_fragment, parse_concept,
                        parse_operators, quantifier_depth, render_concept,
                        signature_of, size)
-from .data import (DataError, Example, Interpretation, Quotient, Sample,
+from .data import (DataError, Interpretation, Quotient, Sample,
                    TypeTable, compute_types, dualize_interpretation,
                    dualize_sample, interpretation_signature, load_facts,
                    load_sample, merge_blocks, quotient, save_facts,

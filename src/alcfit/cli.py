@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
-from .concepts import (ConceptError, O_ALL, dualize_concept, evaluate,
+from .concepts import (ConceptError, O_ALL, dualize_concept,
                        parse_concept, parse_operators, render_concept)
 from .data import (DataError, Sample, dualize_sample,
                    interpretation_signature, load_sample, quotient,
@@ -208,27 +208,28 @@ def _cross_validate(sample: Sample, cfg: FitConfig,
     if sample.num_examples < folds:
         raise DataError("fewer examples than folds")
 
-    def held_out(i: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    def held_out(i: int) -> Sample:
         # round-robin over positives then negatives, so no fold is empty
         # as long as there are at least `folds` examples
         offset = len(sample.positives)
-        return (tuple(e for j, e in enumerate(sample.positives)
-                      if j % folds == i),
-                tuple(e for j, e in enumerate(sample.negatives)
-                      if (offset + j) % folds == i))
+        return Sample(sample.interp,
+                      tuple(e for j, e in enumerate(sample.positives)
+                            if j % folds == i),
+                      tuple(e for j, e in enumerate(sample.negatives)
+                            if (offset + j) % folds == i))
 
     def run_fold(i: int):
-        test_pos, test_neg = held_out(i)
+        test = held_out(i)
         train = Sample(sample.interp,
-                       tuple(e for e in sample.positives if e not in test_pos),
-                       tuple(e for e in sample.negatives if e not in test_neg))
+                       tuple(e for e in sample.positives
+                             if e not in test.positives),
+                       tuple(e for e in sample.negatives
+                             if e not in test.negatives))
         result = run_fit(train, cfg)
         if result.concept is None:
-            return result, None, 0, len(test_pos) + len(test_neg)
-        ext = evaluate(result.concept, sample.interp)
-        hits = (sum(1 for e in test_pos if e in ext)
-                + sum(1 for e in test_neg if e not in ext))
-        return result, result.size, hits, len(test_pos) + len(test_neg)
+            return result, None, 0, test.num_examples
+        hits = verify(result.concept, test).coverage
+        return result, result.size, hits, test.num_examples
 
     with ThreadPoolExecutor(max_workers=min(folds, 4)) as pool:
         rows = list(pool.map(run_fold, range(folds)))

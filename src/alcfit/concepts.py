@@ -24,14 +24,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
-    from .data import Interpretation, Sample
+    from .data import Interpretation
 
 __all__ = [
     "Concept", "Top", "Bot", "Name", "Not", "And", "Or", "Exists", "Forall",
     "OperatorSet", "O_ALL", "dual_operators", "parse_operators",
     "format_operators", "Signature", "ConceptError",
     "parse_concept", "render_concept", "size", "signature_of", "in_fragment",
-    "dualize_concept", "evaluate", "fits", "quantifier_depth",
+    "dualize_concept", "evaluate", "quantifier_depth",
 ]
 
 
@@ -255,55 +255,46 @@ def parse_concept(text: str) -> Concept:
 # ---------------------------------------------------------------------------
 # printing
 
-_UNICODE = {"top": "⊤", "bot": "⊥", "not": "¬",
-            "and": "⊓", "or": "⊔",
-            "exists": "∃", "forall": "∀"}
-
-
-def render_concept(c: Concept, unicode: bool = False) -> str:
-    """Canonical text for a tree; parse_concept inverts it (ASCII mode)."""
-    text, _open = _render(c, unicode)
+def render_concept(c: Concept) -> str:
+    """Canonical text for a tree; parse_concept inverts it."""
+    text, _open = _render(c)
     return text
 
 
-def _render(c: Concept, uni: bool) -> tuple[str, bool]:
+def _render(c: Concept) -> tuple[str, bool]:
     # The bool is True when the text ends in an unparenthesized quantifier
     # body, which would absorb a following "and"/"or" if left bare.
     if isinstance(c, Top):
-        return (_UNICODE["top"] if uni else "top"), False
+        return "top", False
     if isinstance(c, Bot):
-        return (_UNICODE["bot"] if uni else "bot"), False
+        return "bot", False
     if isinstance(c, Name):
         return c.name, False
     if isinstance(c, Not):
-        inner, open_ = _render(c.child, uni)
+        inner, open_ = _render(c.child)
         if isinstance(c.child, (And, Or)):
             inner, open_ = "(" + inner + ")", False
-        if uni:
-            return _UNICODE["not"] + inner, open_
         return "not " + inner, open_
     if isinstance(c, (Exists, Forall)):
         kw = ("exists", "forall")[isinstance(c, Forall)]
-        body, _ = _render(c.child, uni)
-        sym = _UNICODE[kw] if uni else kw + " "
+        body, _ = _render(c.child)
         if isinstance(c.child, (And, Or)):
             body = "(" + body + ")"
         # a quantifier body is an or-expr and keeps absorbing operators,
         # parenthesized or not, so the tail stays open
-        return f"{sym}{c.role}.{body}", True
+        return f"{kw} {c.role}.{body}", True
     if isinstance(c, (And, Or)):
         kw = ("and", "or")[isinstance(c, Or)]
-        op = f" {_UNICODE[kw]} " if uni else f" {kw} "
         same = And if kw == "and" else Or
-        left, left_open = _render(c.left, uni)
+        left, left_open = _render(c.left)
         # left operand: parenthesize lower precedence and open quantifier tails
         if (kw == "and" and isinstance(c.left, Or)) or left_open:
             left = "(" + left + ")"
-        right, right_open = _render(c.right, uni)
+        right, right_open = _render(c.right)
         # right operand: parenthesize equal precedence (left association)
         if isinstance(c.right, same) or (kw == "and" and isinstance(c.right, Or)):
             right, right_open = "(" + right + ")", False
-        return left + op + right, right_open
+        return f"{left} {kw} {right}", right_open
     raise TypeError(f"not a concept: {c!r}")
 
 
@@ -438,9 +429,3 @@ def evaluate(c: Concept, interp: "Interpretation") -> frozenset[str]:
         return frozenset(a for a in domain if succ.get(a, frozenset()) <= inner)
     raise TypeError(f"not a concept: {c!r}")
 
-
-def fits(c: Concept, sample: "Sample") -> bool:
-    """True iff c holds at every positive and at no negative element."""
-    ext = evaluate(c, sample.interp)
-    return (all(a in ext for a in sample.positives)
-            and not any(b in ext for b in sample.negatives))

@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 from .concepts import Signature
 
 __all__ = [
-    "DataError", "Interpretation", "Example", "Sample", "TypeTable",
+    "DataError", "Interpretation", "Sample", "TypeTable",
     "load_facts", "save_facts", "load_sample", "save_sample", "merge_blocks",
     "dualize_interpretation", "dualize_sample", "compute_types",
     "interpretation_signature", "Quotient", "quotient",
@@ -113,10 +113,6 @@ class Interpretation:
             self._succ[role] = cached
         return cached
 
-    def num_facts(self) -> int:
-        return (sum(len(ext) for ext in self.concept_ext.values())
-                + sum(len(ext) for ext in self.role_ext.values()))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Interpretation):
             return NotImplemented
@@ -134,22 +130,6 @@ class Interpretation:
     def __repr__(self) -> str:
         return (f"Interpretation(|domain|={len(self.domain)}, "
                 f"names={len(self.concept_ext)}, roles={len(self.role_ext)})")
-
-
-@dataclass(frozen=True, eq=False)
-class Example:
-    """A pointed interpretation (I, a); its size is the fact count plus one."""
-
-    interp: Interpretation
-    element: str
-
-    def __post_init__(self) -> None:
-        if self.element not in self.interp.domain_set:
-            raise DataError(f"example element {self.element!r} not in domain")
-
-    @property
-    def size(self) -> int:
-        return self.interp.num_facts() + 1
 
 
 @dataclass(frozen=True, eq=False)

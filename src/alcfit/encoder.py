@@ -64,8 +64,10 @@ and come one per (node, label), not one per (node, label, child).  They
 depend on the role's successor lists and are Gather recipes: an index
 template, built once per label, into the literal list [0, -x] + z_i +
 (-z_i) + c_i + (-c_i), whose tail is shared by node i's quantifier blocks
-(_quantifier_template).  The rows are shared across blocks, so DIMACS
-export makes each row's tokens once a rendering (solver.export_dimacs).
+(_quantifier_template).  A recipe lays its clauses out in one method,
+lay(seq), over seq(lits) of each int array it reads: the ints themselves
+for a solver, their tokens for DIMACS text, which export makes once per
+row a rendering, however many blocks share it (solver.export_dimacs).
 Building a recipe costs about what counting its clauses would, and its
 memory is of the order of the rows it reads (the variable map's own), so
 there is one kind of Cnf: encode --stats counts the same one that DIMACS
@@ -83,7 +85,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from operator import mul, neg
+from operator import itemgetter, mul, neg
 
 from .concepts import (And, Bot, Concept, Exists, Forall, Name, Not, Or,
                        O_ALL, OperatorSet, Signature, Top)
@@ -107,12 +109,16 @@ class EncodingError(RuntimeError):
     """Internal inconsistency: bad model shape or misused variable map."""
 
 
+def _ints(lits: array) -> array:  # lay's seq for a recipe's ints
+    return lits
+
+
 class Rows:
     """Recipe of an _add_rows block: `pattern`, one element's clauses, is
     repeated n times, and rows[r] fills position offsets[r] of the e-th
-    repetition with rows[r][e]."""
+    repetition with rows[r][e]; it reads the pattern and the rows."""
 
-    __slots__ = ("pattern", "offsets", "rows", "n")
+    __slots__ = ("pattern", "offsets", "rows", "n", "reads")
 
     def __init__(self, pattern: array, offsets: array,
                  rows: tuple[array, ...], n: int):
@@ -120,48 +126,37 @@ class Rows:
         self.offsets = offsets
         self.rows = rows
         self.n = n
+        self.reads = (pattern, *rows)
 
-    def ints(self) -> array:
+    def lay(self, seq):
+        """The block's literals laid out from seq(lits), a sequence for an
+        int array of reads: the ints themselves, or their tokens."""
         period = len(self.pattern)
-        block = self.pattern * self.n
+        block = seq(self.pattern) * self.n
         for offset, row in zip(self.offsets, self.rows):
-            block[offset::period] = row
+            block[offset::period] = seq(row)
         return block
-
-    def text(self, tokens) -> str:
-        """The block's literals as text, laid out as ints lays out ints
-        from tokens(lits), the tokens of an int array's literals."""
-        period = len(self.pattern)
-        block = tokens(self.pattern) * self.n
-        for offset, row in zip(self.offsets, self.rows):
-            block[offset::period] = tokens(row)
-        return "".join(block)
 
 
 class Gather:
     """Recipe of a quantifier block: literal p is src[idx[p]], where src is
     `head` followed by `tail`.  `idx` is a label's index template
     (_quantifier_template) and `tail` the node's rows, shared by its
-    quantifier blocks."""
+    quantifier blocks; it reads head and tail."""
 
-    __slots__ = ("head", "tail", "idx")
+    __slots__ = ("head", "tail", "idx", "reads")
 
-    def __init__(self, head: array, tail: array, idx: list[int]):
+    def __init__(self, head: array, tail: array, idx: tuple[int, ...]):
         self.head = head
         self.tail = tail
         self.idx = idx
+        self.reads = (head, tail)
 
-    def ints(self) -> array:
-        src = self.head + self.tail
-        block = array("i")
-        block.fromlist(list(map(src.__getitem__, self.idx)))
-        return block
-
-    def text(self, tokens, pick) -> str:
-        """The block's literals as text: tokens(lits), the tokens of an int
-        array's literals, of head and tail, gathered as ints gathers ints
-        by pick, itemgetter(*idx), which export builds once per template."""
-        return "".join(pick(tokens(self.head) + tokens(self.tail)))
+    def lay(self, seq) -> tuple:
+        """The block's literals picked from seq(lits), a sequence for an int
+        array of reads: the ints themselves, or their tokens.  itemgetter
+        keeps a tuple template as it is, so the picker copies nothing."""
+        return itemgetter(*self.idx)(seq(self.head) + seq(self.tail))
 
 
 class Cnf:
@@ -172,9 +167,9 @@ class Cnf:
     one at a time since the part before it) or a recipe of add_block: Rows,
     how the semantics encoding lays out a block repeated per domain
     element, or Gather, a quantifier block read through an index template.
-    A recipe becomes ints only when asked (arrays, clauses); DIMACS
-    export renders it as one piece of text from the tokens of the int
-    arrays it holds (text), without joining them (solver.export_dimacs).
+    A recipe names the int arrays it reads (reads) and has one layout
+    (lay), which makes its ints only when asked (arrays, clauses) and, over
+    the tokens of those arrays, its DIMACS text (solver.export_dimacs).
 
     num_vars is the one variable count of a Cnf: the largest count given
     to declare_vars or the largest |literal| of a literal run, whichever
@@ -236,9 +231,11 @@ class Cnf:
 
     def arrays(self):
         """Each part's clauses as one 0-terminated int array, a recipe's
-        made when its turn comes."""
+        laid out when its turn comes: a Rows block's as it is, a Gather's
+        picked literals as one array."""
         for part in self.parts:
-            yield part if isinstance(part, array) else part.ints()
+            laid = part if isinstance(part, array) else part.lay(_ints)
+            yield laid if isinstance(laid, array) else array("i", laid)
 
     def clauses(self):
         """Iterate clauses as lists of signed ints."""
@@ -535,7 +532,7 @@ def _add_rows(cnf: Cnf, tag: str, n: int, *shapes) -> None:
 
 
 def _quantifier_template(kind: str, targets: list[tuple[int, ...]],
-                         positions: list[int]) -> list[int]:
+                         positions: list[int]) -> tuple[int, ...]:
     """Layout of one exists/forall block as indices into the literal list
     [0, -x] + z_i + (-z_i) + c_i + (-c_i), where x is the label's variable,
     c_i node i's child row and targets[e] the successors of element e.  Per
@@ -546,7 +543,8 @@ def _quantifier_template(kind: str, targets: list[tuple[int, ...]],
 
     Every index is taken from positions, list(range(2 + 4n)), which the
     templates share, so each position is one int object however many
-    entries hold it."""
+    entries hold it.  The template is a tuple, which Gather.lay's picker
+    shares rather than copies."""
     n = len(targets)
     z, nz = positions[2:2 + n], positions[2 + n:2 + 2 * n]
     c, nc = positions[2 + 2 * n:2 + 3 * n], positions[2 + 3 * n:]
@@ -560,7 +558,7 @@ def _quantifier_template(kind: str, targets: list[tuple[int, ...]],
             idx += [1, z[e], *map(nc.__getitem__, succ), 0]
             for b in succ:
                 idx += [1, nz[e], c[b], 0]
-    return idx
+    return tuple(idx)
 
 
 def _non_name_semantics(cnf: Cnf, vm: VarMap,
@@ -587,7 +585,7 @@ def _non_name_semantics(cnf: Cnf, vm: VarMap,
     # a quantifier block has one clause per element plus one per edge
     block_size = {role: n + sum(map(len, rows))
                   for role, rows in succ_rows.items()}
-    templates: dict[Label, list[int]] = {}
+    templates: dict[Label, tuple[int, ...]] = {}
     positions = list(range(2 + 4 * n))  # the templates' one int per index
 
     for i in range(1, k + 1):

@@ -29,25 +29,23 @@ def _atoms(sigma: Signature) -> list[Concept]:
 
 
 def enumerate_concepts(ops: OperatorSet, sigma: Signature, k: int,
-                       canonical: bool = False) -> Iterator[Concept]:
+                       ) -> Iterator[Concept]:
     """Stream every size-k concept of the fragment over sigma.
 
-    The default enumeration is complete and ordered: And(A, B) and And(B, A)
-    both appear.  With canonical=True, commutative operators only emit pairs
-    with left <= right in the (size, emission index) order, which is enough
-    for fitting questions.
+    The enumeration is complete and ordered: And(A, B) and And(B, A) both
+    appear.
     """
     if k < 1:
         raise ValueError("concept size is at least 1")
     roles = sorted(sigma.role_names)
     by_size: list[list[Concept]] = [[]]  # 1-indexed
     for s in range(1, k + 1):
-        level = list(_level(ops, sigma, roles, s, by_size, canonical))
+        level = list(_level(ops, sigma, roles, s, by_size))
         by_size.append(level)
     yield from by_size[k]
 
 
-def _level(ops, sigma, roles, s, by_size, canonical):
+def _level(ops, sigma, roles, s, by_size):
     if s == 1:
         yield from _atoms(sigma)
         return
@@ -59,10 +57,8 @@ def _level(ops, sigma, roles, s, by_size, canonical):
             continue
         for s1 in range(1, s - 1):
             s2 = s - 1 - s1
-            for i, left in enumerate(by_size[s1]):
-                for j, right in enumerate(by_size[s2]):
-                    if canonical and (s1, i) > (s2, j):
-                        continue
+            for left in by_size[s1]:
+                for right in by_size[s2]:
                     yield ctor(left, right)
     for kw, ctor in (("exists", Exists), ("forall", Forall)):
         if kw not in ops:

@@ -20,18 +20,21 @@ beyond it, which only a recipe that reads undeclared variables can hold.
 as ASCII byte pieces as they are rendered, so no sink holds the whole
 text.  ``alcfit encode`` writes it to its output, and a DIMACS session
 writes it, for its clauses and assumptions, to the clause file before it
-starts the solver's clock.  The renderer looks literals up in one list of
-tokens indexed by literal, a whole row or run at a time; each int array is
-range-checked once, before any text is made (``_check_literals``).  While
-it renders, an export holds that list, the tokens of each row the blocks
-share and the piece at hand.
+starts the solver's clock.  Literals are looked up in one list of tokens
+indexed by literal, a whole run at a time, and a recipe lays out the
+tokens of the int arrays it reads (``reads``, ``lay``: the export reads a
+recipe through nothing else); each int array is range-checked once,
+before any text is made (``_check_literals``).  While it renders, an
+export holds that list, the tokens of each array the blocks read and the
+piece at hand.
 
 Budgets are cooperative: a conflict budget or wall-clock timeout makes the
 backend give up and report "unknown", it is never killed mid-solve.  A
 timeout of zero or less means the time is already up: the solve reports
-"unknown" without searching.  ``None`` means no limit, and a NaN timeout
-is refused.  A conflict budget must not be negative, and only the native
-backend takes one.
+"unknown" without searching.  ``None`` means no limit, and so does a
+timeout longer than ``subprocess`` can wait (about 24.8 days, ``inf``
+included); a NaN timeout is refused.  A conflict budget must not be
+negative, and only the native backend takes one.
 """
 
 from __future__ import annotations
@@ -45,10 +48,9 @@ import time
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
-from .encoder import Cnf, EncodingError, Gather, VarMap
+from .encoder import Cnf, EncodingError, VarMap
 
 __all__ = [
     "SolverError", "SolverConfig", "SolveOutcome", "SolverSession",
@@ -59,6 +61,10 @@ __all__ = [
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
+
+# the longest timeout, in seconds, that subprocess can wait (it polls in C
+# int milliseconds); solve reads a longer one, inf included, as no limit
+_LONGEST_WAIT = (2**31 - 1) // 1000
 
 
 class SolverError(RuntimeError):
@@ -95,15 +101,6 @@ class SolverSession:
         self.num_vars = 0
         self.num_clauses = 0
 
-    def _assumed(self, assumptions) -> list[int]:
-        """The assumptions as a list, their variables counted; 0 is no
-        literal."""
-        assumptions = list(assumptions)
-        if 0 in assumptions:
-            raise SolverError(f"literal 0 in assumptions {assumptions}")
-        self.declare_vars(max(map(abs, assumptions), default=0))
-        return assumptions
-
     def declare_vars(self, n: int) -> None:
         """Reserve variable ids up to n even if no clause mentions them."""
         if n > self.num_vars:
@@ -124,6 +121,27 @@ class SolverSession:
 
     def solve(self, assumptions=(), conflict_budget: int | None = None,
               timeout: float | None = None) -> SolveOutcome:
+        """Solve under the assumptions (0 is no literal; their variables are
+        counted) within the budgets of the module docstring."""
+        self._check_budget(conflict_budget)
+        if timeout is not None and math.isnan(timeout):
+            raise ValueError("timeout is NaN")
+        assumptions = list(assumptions)
+        if 0 in assumptions:
+            raise SolverError(f"literal 0 in assumptions {assumptions}")
+        self.declare_vars(max(map(abs, assumptions), default=0))
+        if timeout is not None and timeout <= 0:
+            return SolveOutcome(UNKNOWN, None, 0.0)
+        if timeout is not None and timeout > _LONGEST_WAIT:
+            timeout = None
+        return self._search(assumptions, conflict_budget, timeout)
+
+    def _check_budget(self, conflict_budget: int | None) -> None:
+        raise NotImplementedError
+
+    def _search(self, assumptions: list[int], conflict_budget: int | None,
+                timeout: float | None) -> SolveOutcome:
+        """The solve itself, for a positive timeout or None."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -178,10 +196,10 @@ def _load_library() -> ctypes.CDLL:
     return lib
 
 
-def _as_i32_array(lits) -> tuple:
-    buf = array("i", lits)
+def _int32s(buf: array) -> tuple:
+    """An int array as the C calls take it: a pointer and a length."""
     addr, count = buf.buffer_info()
-    return buf, ctypes.cast(addr, ctypes.POINTER(ctypes.c_int32)), count
+    return ctypes.cast(addr, ctypes.POINTER(ctypes.c_int32)), count
 
 
 class NativeSession(SolverSession):
@@ -197,26 +215,19 @@ class NativeSession(SolverSession):
         # part by part, so no flat copy of the whole CNF is made; `buf`
         # keeps each part's ints alive while the solver reads them
         for buf in cnf.arrays():
-            if not buf:
-                continue
-            addr, count = buf.buffer_info()
-            ptr = ctypes.cast(addr, ctypes.POINTER(ctypes.c_int32))
             self.num_clauses += self._lib.satbridge_add_clauses(
-                self._ptr, ptr, count)
+                self._ptr, *_int32s(buf))
 
-    def solve(self, assumptions=(), conflict_budget: int | None = None,
-              timeout: float | None = None) -> SolveOutcome:
+    def _check_budget(self, conflict_budget: int | None) -> None:
         if conflict_budget is not None and conflict_budget < 0:
             raise ValueError(f"negative conflict budget {conflict_budget}")
-        if timeout is not None and math.isnan(timeout):
-            raise ValueError("timeout is NaN")
-        assumptions = self._assumed(assumptions)
-        if timeout is not None and timeout <= 0:
-            return SolveOutcome(UNKNOWN, None, 0.0)
-        keep, ptr, count = _as_i32_array(assumptions)
+
+    def _search(self, assumptions: list[int], conflict_budget: int | None,
+                timeout: float | None) -> SolveOutcome:
+        keep = array("i", assumptions)  # alive while the solver reads it
         start = time.perf_counter()
         rc = self._lib.satbridge_solve(
-            self._ptr, ptr, count,
+            self._ptr, *_int32s(keep),
             -1 if conflict_budget is None else conflict_budget,
             0.0 if timeout is None else timeout)
         elapsed = time.perf_counter() - start
@@ -249,52 +260,6 @@ class NativeSession(SolverSession):
 _CHUNK = 1 << 16  # literals per piece of a literal run's DIMACS text
 
 
-def _by_id(make):
-    """make(obj), made once per object: the objects passed must outlive
-    the cache, as every row and template of a Cnf outlives its export."""
-    cache: dict = {}
-
-    def get(obj):
-        value = cache.get(id(obj))
-        if value is None:
-            value = cache[id(obj)] = make(obj)
-        return value
-    return get
-
-
-class _Renderer:
-    """DIMACS text of a Cnf's parts over variables 1..num_vars, one piece
-    per recipe and per _CHUNK literals of a run, made as they are asked for.
-
-    The tokens sit in one list indexed by literal: 0..num_vars from the
-    front, -num_vars..-1 from the back, so a lookup is a list index, made
-    at C level over a whole row or run.  Read from both ends, the list
-    would map a literal in num_vars+1..2*num_vars to a negative literal's
-    token, so the parts must have passed _check_literals.  The tokens of
-    each row, pattern and head are made once per object (tokens), however
-    many blocks share it."""
-
-    def __init__(self, num_vars: int):
-        # "0\n" for the 0 that ends a clause
-        table = [f"{lit} " for lit in range(num_vars + 1)]
-        table[0] = "0\n"
-        table += [f"{lit} " for lit in range(-num_vars, 0)]
-        self._token = table.__getitem__
-        self.tokens = _by_id(lambda lits: list(map(self._token, lits)))
-        self._pick = _by_id(lambda idx: itemgetter(*idx))
-
-    def pieces(self, parts) -> Iterator[str]:
-        for part in parts:
-            if isinstance(part, array):
-                for start in range(0, len(part), _CHUNK):
-                    yield "".join(map(self._token,
-                                      part[start:start + _CHUNK]))
-            elif isinstance(part, Gather):
-                yield part.text(self.tokens, self._pick(part.idx))
-            else:
-                yield part.text(self.tokens)
-
-
 def _check_literals(parts, num_vars: int) -> None:
     """Raise EncodingError if an int array of the parts holds a literal
     beyond num_vars, checking each array once, however many recipes share
@@ -302,13 +267,7 @@ def _check_literals(parts, num_vars: int) -> None:
     undeclared variables, an encoder bug, holds one."""
     seen: set[int] = set()
     for part in parts:
-        if isinstance(part, array):
-            arrays = (part,)
-        elif isinstance(part, Gather):
-            arrays = (part.head, part.tail)
-        else:
-            arrays = (part.pattern, *part.rows)
-        for lits in arrays:
+        for lits in (part,) if isinstance(part, array) else part.reads:
             if id(lits) in seen:
                 continue
             seen.add(id(lits))
@@ -336,8 +295,30 @@ class DimacsText:
         self._num_vars = num_vars
 
     def _pieces(self) -> Iterator[str]:
+        """The text, one piece per recipe and per _CHUNK literals of a run.
+        The tokens sit in one list indexed by literal, 0..num_vars from the
+        front and -num_vars..-1 from the back, so each int array must have
+        passed _check_literals; a recipe lays out the tokens of the arrays
+        it reads, made once per array however many blocks share it."""
         yield self._head
-        yield from _Renderer(self._num_vars).pieces(self._parts)
+        table = [f"{lit} " for lit in range(self._num_vars + 1)]
+        table[0] = "0\n"  # the 0 that ends a clause
+        table += [f"{lit} " for lit in range(-self._num_vars, 0)]
+        token = table.__getitem__
+        made: dict[int, list[str]] = {}  # id of an int array: its tokens
+
+        def tokens(lits: array) -> list[str]:
+            got = made.get(id(lits))
+            if got is None:
+                got = made[id(lits)] = list(map(token, lits))
+            return got
+
+        for part in self._parts:
+            if isinstance(part, array):
+                for start in range(0, len(part), _CHUNK):
+                    yield "".join(map(token, part[start:start + _CHUNK]))
+            else:
+                yield "".join(part.lay(tokens))
 
     def __iter__(self) -> Iterator[bytes]:
         return map(str.encode, self._pieces())
@@ -400,15 +381,12 @@ class DimacsSession(SolverSession):
         self._cnf.absorb(cnf)
         self.num_clauses += cnf.num_clauses
 
-    def solve(self, assumptions=(), conflict_budget: int | None = None,
-              timeout: float | None = None) -> SolveOutcome:
+    def _check_budget(self, conflict_budget: int | None) -> None:
         if conflict_budget is not None:
             raise SolverError("the DIMACS backend takes no conflict budget")
-        if timeout is not None and math.isnan(timeout):
-            raise ValueError("timeout is NaN")
-        assumptions = self._assumed(assumptions)
-        if timeout is not None and timeout <= 0:
-            return SolveOutcome(UNKNOWN, None, 0.0)
+
+    def _search(self, assumptions: list[int], conflict_budget: int | None,
+                timeout: float | None) -> SolveOutcome:
         cnf = Cnf().absorb(self._cnf)
         for lit in assumptions:
             cnf.add("assumption", [lit])

@@ -10,7 +10,7 @@ from alcfit.benchgen import (chain_of_exists, depth_family_blocks,
                              gen_random, gen_type_grid, hitting_set_blocks,
                              minimum_hitting_set, mostgeneral_blocks,
                              write_instance)
-from alcfit.concepts import (Exists, Name, Or, Top, fits, parse_concept,
+from alcfit.concepts import (Exists, Name, Or, Top, parse_concept,
                              render_concept, size)
 from alcfit.data import Sample, compute_types, load_sample, save_facts
 from alcfit.fitter import FitConfig, bounded_fit, verify
@@ -61,7 +61,7 @@ def test_hitting_set_smallest_instance():
     assert len(sample.interp.domain) == 14
     witness = parse_concept(meta["witness"])
     assert size(witness) == k_prime
-    assert fits(witness, sample)
+    assert verify(witness, sample).fits
     result = bounded_fit(sample, FitConfig(k_max=4))
     assert result.status == "fitted" and result.size == 4
 
@@ -78,7 +78,7 @@ def test_hitting_set_two_sets():
     assert len(neg.domain) == 1 + gadget == 18
     sample, _, _ = gen_hitting_set_instance([{1, 3}, {2, 4}], 2)
     assert len(sample.interp.domain) == 46
-    assert fits(parse_concept(FROZEN_WITNESS), sample)
+    assert verify(parse_concept(FROZEN_WITNESS), sample).fits
 
 
 def test_hitting_set_gadget_details():
@@ -102,7 +102,7 @@ def test_witness_padding_and_absence():
     witness = parse_concept(meta["witness"])
     assert size(witness) == 6
     sample, _, _ = gen_hitting_set_instance([{1, 2}], 2)
-    assert fits(witness, sample)
+    assert verify(witness, sample).fits
     # no hitting set of size k <= n exists to render
     _, _, meta = hitting_set_blocks([{1}], 2)
     assert meta["witness"] is None
@@ -129,7 +129,7 @@ def test_depth_family_shape():
     assert sample.negatives == ("f3:p0", "f4:p0")
     target = depth_family_target(1)
     assert render_concept(target) == "exists t.exists t.top"
-    assert fits(target, sample)
+    assert verify(target, sample).fits
     with pytest.raises(ValueError):
         depth_family_blocks(0)
 
@@ -138,7 +138,7 @@ def test_depth_family_minimal_fit_is_shallow():
     # the advertised target fits but is not minimal: a single t-probe
     # already separates, because only positives carry t-edges at all
     sample = gen_depth_family(1)
-    assert fits(Exists("t", Top()), sample)
+    assert verify(Exists("t", Top()), sample).fits
     result = bounded_fit(sample, FitConfig(k_max=3))
     assert result.size == 2
 
@@ -159,8 +159,8 @@ def test_depth_family_path_disjunction():
     # the union of the retained words' path probes fits at depth n
     sample = gen_depth_family(1)
     c0 = parse_concept("exists r.top")
-    assert fits(c0, Sample(sample.interp, ("f1:p0",), ("f4:p0",)))
-    assert not fits(c0, Sample(sample.interp, ("f1:p0",), ("f3:p0",)))
+    assert verify(c0, Sample(sample.interp, ("f1:p0",), ("f4:p0",))).fits
+    assert not verify(c0, Sample(sample.interp, ("f1:p0",), ("f3:p0",))).fits
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ def test_mostgeneral_core_pair():
     sample = gen_mostgeneral_family(2, path_words=[])
     assert sample.positives == ("f1:a1",)
     assert sample.negatives == ("f2:b1",)
-    assert fits(Name("A"), sample)
+    assert verify(Name("A"), sample).fits
 
 
 def test_mostgeneral_full_family():
@@ -187,7 +187,7 @@ def test_mostgeneral_full_family():
     leftovers = [w for w in words if f"path_{w}" not in
                  {b[0] for b in mostgeneral_blocks(2)}]
     assert not leftovers
-    assert fits(Name("A"), sample)
+    assert verify(Name("A"), sample).fits
 
 
 def test_mostgeneral_partial_disjunction_overreaches():

@@ -23,6 +23,11 @@ from alcfit.encoder import Cnf, EncodingError, _add_rows
 
 DIMACS_SOLVER = (f"{sys.executable} "
                  f"{Path(__file__).parent.parent / 'scripts' / 'dimacs_solve.py'}")
+# the command line, in a process of its own, over the sources under test
+ALCFIT = [sys.executable, "-c",
+          "import sys; from alcfit.cli import main; sys.exit(main())"]
+ALCFIT_ENV = {**os.environ,
+              "PYTHONPATH": str(Path(alcfit.cli.__file__).parents[1])}
 
 
 @pytest.fixture
@@ -88,6 +93,27 @@ def test_fit_timeout(tmp_path, capsys):
     code = main(["fit", str(manifest), "--timeout", "0.0001"])
     assert code == 30
     assert "status: timed_out" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("backend", ["native", f"dimacs:{DIMACS_SOLVER}"],
+                         ids=["native", "dimacs"])
+def test_fit_reads_a_timeout_too_long_to_wait_as_no_limit(tmp_path, backend):
+    # past what the solver's clock (1e19 s) or subprocess (3e6 s) can hold,
+    # a timeout is no limit; one process per fit, as an abort would end ours
+    manifest = save_sample(gen_random(20, 2, 1, 0.1, 3, 3, seed=1), tmp_path,
+                           "random")
+
+    def fit(*timeout):
+        proc = subprocess.run([*ALCFIT, "fit", str(manifest), "--backend",
+                               backend, *timeout], capture_output=True,
+                              text=True, timeout=300, env=ALCFIT_ENV)
+        return (proc.returncode, proc.stderr,
+                re.findall(r"^(?:status|size): .*$", proc.stdout, re.M))
+
+    expected = fit()
+    assert expected == (0, "", ["status: fitted", "size: 4"])
+    for timeout in ("3e6", "1e19", "inf"):
+        assert fit("--timeout", timeout) == expected
 
 
 def test_fit_report_sidecar(fig1_manifest, tmp_path, capsys):
@@ -334,13 +360,10 @@ def test_encode_to_a_closed_pipe(tmp_path):
     # the text nowhere to go, which is no error
     manifest = save_sample(gen_random(60, 3, 2, 0.05, 10, 10, seed=1),
                            tmp_path, "random")
-    src = Path(alcfit.cli.__file__).parents[1]
-    run_main = "import sys; from alcfit.cli import main; sys.exit(main())"
     with open(tmp_path / "err", "wb") as err:
         proc = subprocess.Popen(
-            [sys.executable, "-c", run_main, "encode", str(manifest),
-             "--max-size", "6"], stdout=subprocess.PIPE, stderr=err,
-            env={**os.environ, "PYTHONPATH": str(src)})
+            [*ALCFIT, "encode", str(manifest), "--max-size", "6"],
+            stdout=subprocess.PIPE, stderr=err, env=ALCFIT_ENV)
         proc.stdout.readline()
         proc.stdout.close()
         code = proc.wait(timeout=300)

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from alcfit.concepts import (And, Bot, Concept, ConceptError, Exists, Forall,
                              Name, Not, O_ALL, Or, Signature, Top,
-                             dual_operators, dualize_concept, evaluate, fits,
+                             dual_operators, dualize_concept, evaluate,
                              format_operators, in_fragment, parse_concept,
                              parse_operators, quantifier_depth,
                              render_concept, signature_of, size)
 from alcfit.data import dualize_interpretation, interpretation_signature
+from alcfit.fitter import verify
 
 from helpers import corpus_samples
 
@@ -64,11 +65,6 @@ def test_and_binds_tighter_than_or():
 def test_fused_quantifier_size():
     assert size(parse_concept("exists r.top")) == 2
     assert size(parse_concept("exists r.exists s.A")) == 3
-
-
-def test_unicode_rendering():
-    assert render_concept(parse_concept("forall r.(A or B)"),
-                          unicode=True) == "∀r.(A ⊔ B)"
 
 
 @pytest.mark.parametrize("bad", ["", "A and", "forall r.", "exists not.A",
@@ -157,8 +153,8 @@ def test_evaluate_on_running_example(fig1_sample):
     ext = evaluate(c, fig1_sample.interp)
     assert "f1:a1" in ext and "f1:a2" in ext
     assert "f2:b" not in ext
-    assert fits(c, fig1_sample)
-    assert not fits(parse_concept("top"), fig1_sample)
+    assert verify(c, fig1_sample).fits
+    assert not verify(parse_concept("top"), fig1_sample).fits
 
 
 def test_signature_of():

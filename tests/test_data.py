@@ -13,7 +13,7 @@ from alcfit import data
 from alcfit.benchgen import (gen_depth_family, gen_mostgeneral_family,
                              gen_random, gen_type_grid)
 from alcfit.concepts import Signature
-from alcfit.data import (DataError, Example, Interpretation, Sample,
+from alcfit.data import (DataError, Interpretation, Sample,
                          compute_types, dualize_interpretation,
                          dualize_sample, interpretation_signature, load_facts,
                          load_sample, merge_blocks, quotient, save_facts,
@@ -121,13 +121,6 @@ def test_empty_extension_equals_absent_extension():
     a = Interpretation(["e"], {"A": set()}, {"r": set()})
     b = Interpretation(["e"], {}, {})
     assert a == b and hash(a) == hash(b)
-
-
-def test_example_size_counts_facts_plus_one():
-    interp = load_facts(FIG1_I)
-    assert Example(interp, "a1").size == 5
-    with pytest.raises(DataError):
-        Example(interp, "nope")
 
 
 def test_sample_rejects_overlap_and_strays():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from alcfit.benchgen import gen_random, gen_type_grid
 from alcfit.concepts import (And, Bot, Exists, Forall, Name, Not, O_ALL, Or,
-                             Signature, Top, evaluate, fits, in_fragment, size)
+                             Signature, Top, evaluate, in_fragment, size)
 from alcfit.data import (Sample, compute_types, interpretation_signature,
                          quotient)
 from alcfit.encoder import (EncodingError, VarMap, decode_model,
@@ -18,7 +18,7 @@ from alcfit.encoder import (EncodingError, VarMap, decode_model,
                             encode_semantics_base, encode_semantics_typed,
                             encode_syntax, encode_templates,
                             pattern_bans_active)
-from alcfit.fitter import encode_size
+from alcfit.fitter import encode_size, verify
 from alcfit.oracle import enumerate_concepts, exact_fit_profile
 from alcfit.solver import make_session
 
@@ -36,7 +36,7 @@ def test_minimality_steps_running_example(fig1_sample):
     status, concept = solve_encoding(*build_encoding(fig1_sample, 4, O_ALL))
     assert status == "sat"
     assert size(concept) == 4
-    assert fits(concept, fig1_sample)
+    assert verify(concept, fig1_sample).fits
 
 
 @pytest.mark.parametrize("k", [5, 6])
@@ -45,7 +45,7 @@ def test_decoded_concept_has_exact_size(fig1_sample, k):
     assert status == "sat"
     assert size(concept) == k
     assert in_fragment(concept, O_ALL)
-    assert fits(concept, fig1_sample)
+    assert verify(concept, fig1_sample).fits
 
 
 def test_no_fit_in_existential_conjunctive_fragment(fig1_sample):
@@ -65,7 +65,7 @@ def test_typed_and_base_agree_and_decode(fig1_sample):
                 results[typed] = status
                 if status == "sat":
                     assert size(concept) == k
-                    assert fits(concept, sample)
+                    assert verify(concept, sample).fits
             assert results[True] == results[False], (sample, k)
 
 
@@ -471,7 +471,7 @@ def test_templates_preserve_satisfiability(fig1_sample):
             assert on == off, (sample, k)
     status, concept = solve_encoding(
         *build_encoding(fig1_sample, 4, O_ALL, templates=True))
-    assert status == "sat" and fits(concept, fig1_sample)
+    assert status == "sat" and verify(concept, fig1_sample).fits
 
 
 def test_large_k_solves_and_decodes(fig1_sample):
@@ -480,7 +480,7 @@ def test_large_k_solves_and_decodes(fig1_sample):
                                                          O_ALL))
         assert status == "sat", k
         assert size(concept) == k
-        assert fits(concept, fig1_sample)
+        assert verify(concept, fig1_sample).fits
 
 
 def test_symmetry_breaking_stays_on_at_large_k(fig1_sample):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import alcfit.fitter
 from alcfit.benchgen import gen_hitting_set_instance, gen_random
-from alcfit.concepts import (O_ALL, Name, Top, fits, in_fragment,
+from alcfit.concepts import (O_ALL, Name, Top, in_fragment,
                              parse_concept, size)
 from alcfit.data import (Interpretation, Sample, load_facts, merge_blocks,
                          quotient)
@@ -31,7 +31,7 @@ def test_bounded_fit_running_example(fig1_sample):
     assert result.status == FITTED
     assert result.size == 4
     assert result.coverage == 3
-    assert fits(result.concept, fig1_sample)
+    assert verify(result.concept, fig1_sample).fits
     assert [s.status for s in result.per_k] == ["unsat"] * 3 + ["sat"]
     assert all(s.num_vars > 0 and s.num_clauses > 0 for s in result.per_k)
 
@@ -49,7 +49,7 @@ def test_fitted_concept_stays_in_fragment(fig1_sample):
     result = bounded_fit(fig1_sample, FitConfig(ops=ops, k_max=6))
     if result.status == FITTED:
         assert in_fragment(result.concept, ops)
-        assert fits(result.concept, fig1_sample)
+        assert verify(result.concept, fig1_sample).fits
 
 
 def test_encoding_variants_agree(fig1_sample):
@@ -69,7 +69,7 @@ def test_approx_reaches_exact_answer(fig1_sample):
     assert result.status == FITTED
     assert result.coverage == 3
     assert result.size == 4
-    assert fits(result.concept, fig1_sample)
+    assert verify(result.concept, fig1_sample).fits
     history = result.coverage_history
     assert history and history[-1] == 3
     assert all(a < b for a, b in zip(history, history[1:]))
@@ -253,7 +253,7 @@ def test_symmetry_breaking_keeps_large_k_tractable():
     result = bounded_fit(sample, FitConfig(k_max=13, budget=60))
     assert result.status == FITTED
     assert result.size == 13
-    assert fits(result.concept, sample)
+    assert verify(result.concept, sample).fits
     statuses = {s.k: s.status for s in result.per_k}
     assert statuses[11] == statuses[12] == "unsat"
 

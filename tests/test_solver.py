@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcfit.benchgen import gen_random
-from alcfit.concepts import O_ALL, fits
+from alcfit.concepts import O_ALL
 from alcfit.data import merge_blocks
 from alcfit.encoder import (Cnf, EncodingError, Gather, Rows, _add_rows,
-                            decode_model, encode_coverage_at_least,
-                            encode_fitting)
-from alcfit.fitter import encode_size
+                            _quantifier_template, decode_model,
+                            encode_coverage_at_least, encode_fitting)
+from alcfit.fitter import encode_size, verify
 from alcfit import solver
 from alcfit.solver import (DimacsSession, NativeSession, SolverConfig,
                            SolverError, export_dimacs, make_session,
@@ -139,6 +139,21 @@ def test_nan_timeout_is_refused(backend):
         with pytest.raises(ValueError, match="timeout is NaN"):
             session.solve(timeout=float("nan"))
         assert session.solve(timeout=5.0).status == "sat"
+    finally:
+        session.close()
+
+
+@BACKENDS
+def test_a_timeout_too_long_to_wait_is_no_limit(backend):
+    # 3e6 s is past what subprocess can wait, 1e19 s past the native
+    # solver's clock; each, and inf, solves as no timeout does
+    session = make_session(SolverConfig(backend=backend))
+    try:
+        session.add_clause([1, 2])
+        for expected in ("sat", "unsat"):
+            for timeout in (None, 3e6, 1e19, float("inf")):
+                assert session.solve(timeout=timeout).status == expected
+            session.add_cnf(pigeonhole(3))
     finally:
         session.close()
 
@@ -402,9 +417,9 @@ def test_export_dimacs_refuses_undeclared_recipe_literals():
                      Rows(array("i", [bad, 0, 0]), array("i", [1]),
                           (array("i", [2, -1]),), 2),
                      Gather(array("i", [0, bad]), array("i", [1, -2]),
-                            [1, 2, 0]),
+                            (1, 2, 0)),
                      Gather(array("i", [0, 1]), array("i", [-2, bad]),
-                            [1, 3, 0])):
+                            (1, 3, 0))):
             cnf = Cnf()
             cnf.add("t", [1, -2])
             cnf.add_block("t", 1, part)
@@ -589,8 +604,8 @@ def test_export_renders_hand_built_mixes(steps):
         elif step[0] == "gather":
             tail, picks = step[1], step[2]
             # src = [0] + tail: index 0 ends a clause, p + 1 is tail[p]
-            idx = [i for clause in picks
-                   for i in [p % len(tail) + 1 for p in clause] + [0]]
+            idx = tuple(i for clause in picks
+                        for i in [p % len(tail) + 1 for p in clause] + [0])
             cnf.add_block("t", len(picks),
                           Gather(array("i", [0]), array("i", tail), idx))
             top = max(map(abs, tail))
@@ -631,16 +646,39 @@ def test_export_holds_no_text():
     assert peak <= 0.75 * size
 
 
+def test_export_shares_a_gather_template():
+    # an exists template over a complete role on 448 elements has ~10^6
+    # entries; its block's text costs the picked tokens (one template's
+    # size) and the text, not a copy of the template, which is a tuple
+    n = 448
+    idx = _quantifier_template("exists", [tuple(range(n))] * n,
+                               list(range(2 + 4 * n)))
+    tail = array("i", range(1, 4 * n + 1))
+    cnf = Cnf()
+    cnf.add_block("t", n + n * n, Gather(array("i", [0, 1]), tail, idx))
+    cnf.declare_vars(4 * n)
+    text = export_dimacs(cnf)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        size = sum(map(len, text))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(idx) > 10**6 and size > 3_000_000
+    assert peak < 1.25 * sys.getsizeof(tuple(idx)) + size
+
+
 def test_dimacs_solve_times_the_solver_alone(monkeypatch):
     # the clause file is written before the clock starts, however slowly
     # its pieces come
-    pieces = solver._Renderer.pieces
+    pieces = solver.DimacsText._pieces
 
-    def slow(self, parts):
+    def slow(self):
         time.sleep(1.0)
-        yield from pieces(self, parts)
+        yield from pieces(self)
 
-    monkeypatch.setattr(solver._Renderer, "pieces", slow)
+    monkeypatch.setattr(solver.DimacsText, "_pieces", slow)
     session = DimacsSession(DIMACS_SOLVER)
     session.add_clause([1, 2])
     session.add_clause([-1])
@@ -666,7 +704,7 @@ def test_subprocess_backend_on_encodings(fig1_sample):
             assert out.status == expected
             if expected == "sat":
                 concept = decode_model(out.model, vm)
-                assert fits(concept, fig1_sample)
+                assert verify(concept, fig1_sample).fits
         finally:
             session.close()
 
