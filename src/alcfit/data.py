@@ -8,13 +8,24 @@ Fact file format (UTF-8, one item per line):
     # ...           comment; blank lines ignored
 
 Lines are those of str.splitlines, so error line numbers count them that
-way.  load_sample reads each fact file in chunks of _BATCH characters,
-carrying a line that a chunk cuts into the next one, so loading needs
-memory of the order of the interpretation, not of the file.  A line in
-one of the exact forms save_facts writes (`A(e)`, `r(e,f)`, `element e`:
-no whitespace, no comment) whose names and elements are already known is
-read by a shortcut ahead of the general parser; every other line, and
-every error, takes the general path.
+way.  A fact file or manifest may start with a UTF-8 byte-order mark.
+load_sample reads each fact file in pieces of whole lines, _BATCH
+characters at a time: a piece ends after the last "\n" of its chunk and
+the rest is carried into the next piece, so loading needs memory of the
+order of the interpretation, not of the file; load_facts reads its text
+as one piece.
+
+A piece is read by runs: two or more lines in a row in the exact forms
+save_facts writes (`element e`, `A(e)`, `r(e,f)`: no whitespace, no
+comment), all element declarations or all facts on one name, whose names
+and elements pass the general parser's checks.  A run is added at once:
+one split gives its elements in line order, those not seen before join
+the domain in that order, and one set update adds its facts.  Any other
+line goes to the per-line loop, where a line in those exact forms on
+known names and elements takes a shortcut and every other line, and every
+error, takes the general path.  From a piece's second such line on, the
+rest of the piece goes to the per-line loop, so a file in subject order
+or shuffled costs a failed match or two a piece.
 
 A sample manifest is structured text with repeatable blocks, one per fact
 file; a new block starts at each `facts =` line:
@@ -34,7 +45,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, repeat
+from itertools import filterfalse, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -52,8 +63,9 @@ class DataError(ValueError):
     """Raised on malformed fact files, manifests, or inconsistent samples."""
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_PREFIXED_RE = re.compile(r"f\d+:[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT + r"\Z")
+_PREFIXED_RE = re.compile(r"f\d+:" + _IDENT + r"\Z")
 _CONCEPT_FACT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(\s*([A-Za-z0-9_:]+)\s*\)\Z")
 _ROLE_FACT_RE = re.compile(
     r"([A-Za-z_][A-Za-z0-9_]*)\(\s*([A-Za-z0-9_:]+)\s*,\s*([A-Za-z0-9_:]+)\s*\)\Z")
@@ -205,121 +217,219 @@ def _check_ident(name: str, what: str, lineno: int) -> None:
 
 # characters per chunk that load_sample reads from a fact file
 _BATCH = 1 << 16
-# the one-character line ends of str.splitlines ("\r\n" is two of them)
-_LINE_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# a run: two or more lines in the forms save_facts writes, each ended by
+# "\n", that are all element declarations or all facts on one name.  Its
+# names and elements pass the checks of the general path: a concept name
+# starts uppercase, a role name lowercase and is not reserved, and an
+# element is an identifier, prefixed or not (_IDENT_RE, _PREFIXED_RE)
+_ELEM = rf"(?:{_IDENT}|f\d+:{_IDENT})"
+_RUN_RE = re.compile(
+    rf"element {_ELEM}\n(?:element {_ELEM}\n)+"
+    rf"|([A-Z][A-Za-z0-9_]*)\({_ELEM}\)\n(?:\1\({_ELEM}\)\n)+"
+    rf"|(?!(?:{'|'.join(sorted(_RESERVED))})\()"
+    rf"([a-z][A-Za-z0-9_]*)\({_ELEM},{_ELEM}\)\n(?:\2\({_ELEM},{_ELEM}\)\n)+")
 
 
 def load_facts(text: str) -> Interpretation:
     """Parse fact-file text; element order is first appearance."""
-    return _parse_lines(text.splitlines())
+    return _Reader().read((text,))
 
 
-def _file_lines(fh) -> Iterable[str]:
-    """The lines of an open text file, as text.splitlines() would give them.
+def _pieces(fh) -> Iterator[str]:
+    """The text of an open file as pieces of whole lines.
 
-    Read in chunks of _BATCH characters, each split once.  A line that a
-    chunk cuts is carried into the next chunk; a chunk that ends in a line
-    end cuts none.  The file is opened with universal newlines, so no "\r"
-    of a "\r\n" is left at a chunk's end to pair with the next chunk.
+    Read in chunks of _BATCH characters; a piece ends after the last "\n"
+    its chunk holds, and what follows is carried into the next piece.  The
+    file is opened with universal newlines, so "\r\n" and "\r" arrive as
+    "\n", and no line, however str.splitlines ends it, spans two pieces.
     """
-    def chunks() -> Iterator[list[str]]:
-        carry = ""
-        for chunk in iter(partial(fh.read, _BATCH), ""):
-            lines = (carry + chunk).splitlines()
-            carry = "" if chunk[-1] in _LINE_ENDS else lines.pop()
-            yield lines
-        if carry:
-            yield [carry]
+    carry = ""
+    for chunk in iter(partial(fh.read, _BATCH), ""):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield carry + chunk[:cut]
+            carry = chunk[cut:]
+        else:
+            carry += chunk
+    if carry:
+        yield carry
 
-    return chain.from_iterable(chunks())
 
+class _Reader:
+    """The fact-file reader: one interpretation, read piece by piece.
 
-def _parse_lines(lines: Iterable[str]) -> Interpretation:
-    """The one fact-line parser, over fact-file lines without their ends."""
-    domain: list[str] = []
-    # element -> its first string object, which every later fact on the
-    # element stores in place of the copy its own line made
-    seen: dict[str, str] = {}
-    # keyed by names that passed their check: no role name is a concept name
-    concept_ext: dict[str, set[str]] = {}
-    role_ext: dict[str, set[tuple[str, str]]] = {}
+    Each piece is read by runs (_RUN_RE), each added at once, and any line
+    no run takes goes to the per-line loop (lines); both keep the same
+    tables and count lines the same way, so a line reads the same, and
+    fails with the same message and line number, whichever path reads it.
+    """
 
-    def touch(elem: str, lineno: int) -> str:
-        known = seen.get(elem)
-        if known is not None:
-            return known
-        if not _IDENT_RE.match(elem) and not _PREFIXED_RE.match(elem):
-            raise DataError(f"line {lineno}: bad element identifier {elem!r}")
-        seen[elem] = elem
-        domain.append(elem)
-        return elem
+    __slots__ = ("domain", "seen", "concept_ext", "role_ext", "lineno")
 
-    for lineno, raw in enumerate(lines, start=1):
-        # first the exact forms save_facts writes, on checked names and
-        # known elements; these hold no whitespace, "#", "(", ")" or ",",
-        # so the general path below would read such a line the same way
-        head, _, rest = raw.partition("(")
-        if rest[-1:] == ")":
-            ext = concept_ext.get(head)
-            if ext is not None:
-                elem = seen.get(rest[:-1])
-                if elem is not None:
-                    ext.add(elem)
-                    continue
+    def __init__(self):
+        self.domain: list[str] = []
+        # element -> its first string object, which every later fact on the
+        # element stores in place of the copy its own line made
+        self.seen: dict[str, str] = {}
+        # keyed by names that passed their check: no role name is a
+        # concept name
+        self.concept_ext: dict[str, set[str]] = {}
+        self.role_ext: dict[str, set[tuple[str, str]]] = {}
+        self.lineno = 0  # lines read so far
+
+    def read(self, pieces: Iterable[str]) -> Interpretation:
+        for piece in pieces:
+            self.runs(piece)
+        if not self.domain:
+            raise DataError("empty domain: no facts or element declarations")
+        # freeze one extension at a time, dropping its set as it goes, so
+        # no second copy of every extension is alive at once
+        concept_ext, role_ext = self.concept_ext, self.role_ext
+        return Interpretation(
+            self.domain,
+            {a: frozenset(concept_ext.pop(a)) for a in list(concept_ext)},
+            {r: frozenset(role_ext.pop(r)) for r in list(role_ext)})
+
+    def runs(self, piece: str) -> None:
+        """Read a piece of whole lines run by run.  A line where no run
+        starts goes to the per-line loop, up to the next "\n"; from the
+        second such line on, the rest of the piece does, so a piece with
+        few runs costs one or two failed matches."""
+        match = _RUN_RE.match
+        pos, end, missed = 0, len(piece), False
+        while pos < end:
+            m = match(piece, pos)
+            if m is not None:
+                self.take(m)
+                pos = m.end()
+            elif missed:
+                self.lines(piece[pos:].splitlines())
+                return
             else:
-                pairs = role_ext.get(head)
-                if pairs is not None:
-                    x, _, y = rest[:-1].partition(",")
-                    x, y = seen.get(x), seen.get(y)
-                    if x is not None and y is not None:
-                        pairs.add((x, y))
+                missed = True
+                stop = piece.find("\n", pos) + 1 or end
+                self.lines(piece[pos:stop].splitlines())
+                pos = stop
+
+    def take(self, m: re.Match) -> None:
+        """Add the run m matched: one split for its elements, in line order,
+        and one update of the extension through the seen table."""
+        kind, start, end = m.lastindex, m.start(), m.end()
+        if kind is None:  # element declarations
+            elems = m.string[start + 8:end - 1].split("\nelement ")
+            self.register(elems)
+            self.lineno += len(elems)
+            return
+        name = m[kind]
+        # the elements lie between the first "name(" and the last ")\n"
+        body, sep = m.string[start + len(name) + 1:end - 2], f")\n{name}("
+        if kind == 1:
+            elems = body.split(sep)
+            got = self.known(elems, set)
+            ext = self.concept_ext.setdefault(name, got)
+            if ext is not got:
+                ext |= got
+            self.lineno += len(elems)
+        else:
+            elems = body.replace(sep, ",").split(",")
+            ends = iter(self.known(elems, list))
+            self.role_ext.setdefault(name, set()).update(zip(ends, ends))
+            self.lineno += len(elems) // 2
+
+    def known(self, elems: list[str], into):
+        """into() over each element's first string object, in order, with
+        the elements not seen before registered first."""
+        got = into(map(self.seen.get, elems))
+        if None in got:
+            self.register(elems)
+            got = into(map(self.seen.get, elems))
+        return got
+
+    def register(self, elems: list[str]) -> None:
+        """Add the elements not seen before to the domain, in order of first
+        appearance; the run pattern has checked them."""
+        seen = self.seen
+        new = [*filterfalse(seen.__contains__, dict.fromkeys(elems))]
+        seen.update(zip(new, new))
+        self.domain += new
+
+    def lines(self, lines: list[str]) -> None:
+        """The per-line loop, over whole lines without their ends, which
+        follow the lineno lines read so far."""
+        domain, seen = self.domain, self.seen
+        concept_ext, role_ext = self.concept_ext, self.role_ext
+
+        def touch(elem: str, lineno: int) -> str:
+            known = seen.get(elem)
+            if known is not None:
+                return known
+            if not _IDENT_RE.match(elem) and not _PREFIXED_RE.match(elem):
+                raise DataError(
+                    f"line {lineno}: bad element identifier {elem!r}")
+            seen[elem] = elem
+            domain.append(elem)
+            return elem
+
+        for lineno, raw in enumerate(lines, start=self.lineno + 1):
+            # first the exact forms save_facts writes, on checked names and
+            # known elements; these hold no whitespace, "#", "(", ")" or ",",
+            # so the general path below would read such a line the same way
+            head, _, rest = raw.partition("(")
+            if rest[-1:] == ")":
+                ext = concept_ext.get(head)
+                if ext is not None:
+                    elem = seen.get(rest[:-1])
+                    if elem is not None:
+                        ext.add(elem)
                         continue
-        elif raw[:8] == "element ":
-            elem = raw[8:]
-            if elem in seen:
-                continue
-            if _IDENT_RE.match(elem):
-                seen[elem] = elem
-                domain.append(elem)
-                continue
+                else:
+                    pairs = role_ext.get(head)
+                    if pairs is not None:
+                        x, _, y = rest[:-1].partition(",")
+                        x, y = seen.get(x), seen.get(y)
+                        if x is not None and y is not None:
+                            pairs.add((x, y))
+                            continue
+            elif raw[:8] == "element ":
+                elem = raw[8:]
+                if elem in seen:
+                    continue
+                if _IDENT_RE.match(elem):
+                    seen[elem] = elem
+                    domain.append(elem)
+                    continue
 
-        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
-        if not line:
-            continue
-        if line.startswith("element "):
-            elem = line[len("element "):].strip()
-            touch(elem, lineno)
-            continue
-        m = _ROLE_FACT_RE.match(line) if "," in line else None
-        if m:
-            role, x, y = m.groups()
-            if role not in role_ext:
-                if not role[0].islower():
-                    raise DataError(
-                        f"line {lineno}: role names start lowercase: {role!r}")
-                _check_ident(role, "role", lineno)
-            role_ext.setdefault(role, set()).add(
-                (touch(x, lineno), touch(y, lineno)))
-            continue
-        m = _CONCEPT_FACT_RE.match(line)
-        if m:
-            name, elem = m.groups()
-            if name not in concept_ext:
-                if not name[0].isupper():
-                    raise DataError(f"line {lineno}: concept names start "
-                                    f"uppercase: {name!r}")
-                _check_ident(name, "concept", lineno)
-            concept_ext.setdefault(name, set()).add(touch(elem, lineno))
-            continue
-        raise DataError(f"line {lineno}: cannot parse {raw.strip()!r}")
-
-    if not domain:
-        raise DataError("empty domain: no facts or element declarations")
-    # freeze one extension at a time, dropping its set as it goes, so no
-    # second copy of every extension is alive at once
-    return Interpretation(
-        domain, {a: frozenset(concept_ext.pop(a)) for a in list(concept_ext)},
-        {r: frozenset(role_ext.pop(r)) for r in list(role_ext)})
+            line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
+            if not line:
+                continue
+            if line.startswith("element "):
+                elem = line[len("element "):].strip()
+                touch(elem, lineno)
+                continue
+            m = _ROLE_FACT_RE.match(line) if "," in line else None
+            if m:
+                role, x, y = m.groups()
+                if role not in role_ext:
+                    if not role[0].islower():
+                        raise DataError(f"line {lineno}: role names start "
+                                        f"lowercase: {role!r}")
+                    _check_ident(role, "role", lineno)
+                role_ext.setdefault(role, set()).add(
+                    (touch(x, lineno), touch(y, lineno)))
+                continue
+            m = _CONCEPT_FACT_RE.match(line)
+            if m:
+                name, elem = m.groups()
+                if name not in concept_ext:
+                    if not name[0].isupper():
+                        raise DataError(f"line {lineno}: concept names start "
+                                        f"uppercase: {name!r}")
+                    _check_ident(name, "concept", lineno)
+                concept_ext.setdefault(name, set()).add(touch(elem, lineno))
+                continue
+            raise DataError(f"line {lineno}: cannot parse {raw.strip()!r}")
+        self.lineno += len(lines)
 
 
 def save_facts(interp: Interpretation) -> str:
@@ -379,7 +489,7 @@ def _merge(count: int,
 
     for idx in range(1, count + 1):
         add(idx, next(blocks))
-    # freeze one extension at a time, as _parse_lines does
+    # freeze one extension at a time, as _Reader.read does
     merged = Interpretation(
         domain, {a: frozenset(concept_ext.pop(a)) for a in list(concept_ext)},
         {r: frozenset(role_ext.pop(r)) for r in list(role_ext)})
@@ -390,7 +500,7 @@ def load_sample(manifest_path: str | Path) -> Sample:
     """Read a manifest and its fact files into one merged Sample."""
     path = Path(manifest_path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -422,8 +532,8 @@ def load_sample(manifest_path: str | Path) -> Sample:
     def read(block: dict[str, str]):
         facts_path = base / block["facts"]
         try:
-            with open(facts_path, encoding="utf-8") as fh:
-                interp = _parse_lines(_file_lines(fh))
+            with open(facts_path, encoding="utf-8-sig") as fh:
+                interp = _Reader().read(_pieces(fh))
         except OSError as exc:
             raise DataError(f"cannot read fact file {facts_path}: {exc}") from exc
         except UnicodeDecodeError as exc:  # raised partway through the file

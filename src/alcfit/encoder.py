@@ -57,7 +57,9 @@ a solver asks for it.  Blocks whose clauses have a fixed shape per element
 (top, bot, names, negation, and, or, the child rows and the typed type
 rows) are Rows recipes: a one-element pattern repeated n times, whose
 element-dependent positions are filled from prebuilt z / c / xt rows
-(_add_rows).  Negation, and, or and the child rows come one block per
+(_add_rows).  A node's typed name-to-type clauses are one such block
+over the types: the name labels in the pattern, the signed xt row of each
+label filling it.  Negation, and, or and the child rows come one block per
 (node, child): the child row is tied to the child once per edge,
 y1[i,j] -> (c[i,a] <-> z[j,a]).  Quantifier blocks then read the child row
 and come one per (node, label), not one per (node, label, child).  They
@@ -85,7 +87,8 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter, mul, neg
+from itertools import chain, combinations, repeat
+from operator import add, itemgetter, mul, neg
 
 from .concepts import (And, Bot, Concept, Exists, Forall, Name, Not, Or,
                        O_ALL, OperatorSet, Signature, Top)
@@ -163,10 +166,13 @@ class Cnf:
     """Clause store: a list of parts, each a run of whole 0-terminated
     clauses, plus group counts.
 
-    A part is a literal run (an int array of the clauses that add appended
-    one at a time since the part before it) or a recipe of add_block: Rows,
-    how the semantics encoding lays out a block repeated per domain
-    element, or Gather, a quantifier block read through an index template.
+    A part is a literal run (an int array of the clauses appended since
+    the part before it: by add, one clause at a time, or by add_clauses,
+    a count of 0-terminated clauses from one iterable of literals, as the
+    syntax group's pairwise at-most-one constraints come) or a recipe of
+    add_block: Rows, how the semantics encoding lays out a block repeated
+    per domain element (or per type), or Gather, a quantifier block read
+    through an index template.
     A recipe names the int arrays it reads (reads) and has one layout
     (lay), which makes its ints only when asked (arrays, clauses) and, over
     the tokens of those arrays, its DIMACS text (solver.export_dimacs).
@@ -195,6 +201,13 @@ class Cnf:
         self._run.append(0)
         self.num_clauses += 1
         self.groups[tag] = self.groups.get(tag, 0) + 1
+
+    def add_clauses(self, tag: str, count: int, lits) -> None:
+        """Append `count` clauses given as one iterable of literals, each
+        clause ended by a 0, to the literal run."""
+        self._run.extend(lits)
+        self.num_clauses += count
+        self.groups[tag] = self.groups.get(tag, 0) + count
 
     def add_block(self, tag: str, count: int, part: Rows | Gather) -> None:
         """Append `count` clauses given as one recipe, whose literals are
@@ -445,6 +458,15 @@ def _parent_literals(vm: VarMap, i: int, j: int) -> list[int]:
     return lits
 
 
+def _at_most_one(cnf: Cnf, tag: str, lits: Sequence[int]) -> None:
+    """The clause (-a, -b) for each pair a, b of lits, in the order of
+    their positions."""
+    n = len(lits)
+    pairs = combinations([-v for v in lits], 2)
+    cnf.add_clauses(tag, n * (n - 1) // 2,
+                    chain.from_iterable(map(add, pairs, repeat((0,)))))
+
+
 def encode_syntax(k: int, ops: OperatorSet, sigma: Signature,
                   ) -> tuple[Cnf, VarMap]:
     """Well-formed exact-size-k syntax trees over the fragment's alphabet."""
@@ -456,9 +478,7 @@ def encode_syntax(k: int, ops: OperatorSet, sigma: Signature,
     for i in range(1, k + 1):
         xi = vm._x[i - 1]
         add(SYN, xi)  # some label
-        for p in range(len(xi)):
-            for q in range(p + 1, len(xi)):
-                add(SYN, (-xi[p], -xi[q]))
+        _at_most_one(cnf, SYN, xi)
 
         y1_here = [vm._y1[(i, j)] for j in range(i + 1, k + 1)]
         y2_here = [vm._y2[(i, j)] for j in range(i + 1, k)]
@@ -479,19 +499,14 @@ def encode_syntax(k: int, ops: OperatorSet, sigma: Signature,
                 for yv in y1_here:
                     add(SYN, (-xv, -yv))
 
-        succ = y1_here + y2_here
-        for p in range(len(succ)):
-            for q in range(p + 1, len(succ)):
-                add(SYN, (-succ[p], -succ[q]))
+        _at_most_one(cnf, SYN, y1_here + y2_here)
 
     # every node but the root has exactly one incoming edge slot
     for j in range(2, k + 1):
         parents = [lit for i in range(1, j)
                    for lit in _parent_literals(vm, i, j)]
         add(SYN, parents)
-        for p in range(len(parents)):
-            for q in range(p + 1, len(parents)):
-                add(SYN, (-parents[p], -parents[q]))
+        _at_most_one(cnf, SYN, parents)
 
     cnf.declare_vars(vm.num_vars)
     return cnf, vm
@@ -677,14 +692,18 @@ def encode_semantics_typed(vm: VarMap) -> Cnf:
     n = len(interp.domain)
     name_labels = [lab for lab in vm.labels if lab[0] == "name"]
     type_of = [types.type_of[a] for a in interp.domain]
+    sign = {}  # name label -> +1 per type that holds the name, -1 per other
+    for lab in name_labels:
+        sign[lab] = array("i", [1 if lab[1] in members else -1
+                                for members in types.types])
 
     for i in range(1, k + 1):
         xts = vm._xt[i - 1]
-        for t, members in enumerate(types.types):
-            xtv = xts[t]
-            for lab in name_labels:
-                xv = vm.x(i, lab)
-                add(NAMES, (-xv, xtv) if lab[1] in members else (-xv, -xtv))
+        # per type t, per name label: (-x, xt[i,t]) when t holds the name,
+        # (-x, -xt[i,t]) when not
+        _add_rows(cnf, NAMES, len(types), *[
+            (-vm.x(i, lab), array("i", map(mul, xts, sign[lab])))
+            for lab in name_labels])
         lv = vm.ell(i)
         # type rows: (-xt[i,type(e)], z[i,e]), (xt[i,type(e)], -z[i,e], -l[i])
         xt_row = array("i", map(xts.__getitem__, type_of))

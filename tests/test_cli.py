@@ -4,6 +4,8 @@ import hashlib
 import importlib.util
 import json
 import os
+import pkgutil
+import random
 import re
 import subprocess
 import sys
@@ -14,11 +16,12 @@ from pathlib import Path
 
 import pytest
 
+import alcfit
 import alcfit.cli
 import alcfit.fitter
-from alcfit.benchgen import gen_random
+from alcfit.benchgen import gen_random, gen_type_grid
 from alcfit.cli import main
-from alcfit.data import load_sample, save_sample
+from alcfit.data import Sample, load_sample, save_sample
 from alcfit.encoder import Cnf, EncodingError, _add_rows
 
 DIMACS_SOLVER = (f"{sys.executable} "
@@ -245,6 +248,47 @@ def test_input_that_is_not_utf8_names_its_file(tmp_path, capsys):
     assert f"cannot read manifest {manifest}: not UTF-8" in err
 
 
+def test_input_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    bom = "\ufeff"
+    facts = tmp_path / "bom.facts"
+    manifest = tmp_path / "bom.manifest"
+    for facts_bom, manifest_bom in ((bom, ""), ("", bom), (bom, bom)):
+        facts.write_text(facts_bom + "element a\nA(b)\n", encoding="utf-8")
+        manifest.write_text(manifest_bom + "facts = bom.facts\npositive = b\n"
+                            "negative = a\n", encoding="utf-8")
+        assert main(["verify", str(manifest), "A"]) == 0
+        assert "fits: true" in capsys.readouterr().out
+    # anywhere else, U+FEFF is a character of the line it is on
+    facts.write_text(bom + "element a\nA(b)\n" + bom + "element c\n",
+                     encoding="utf-8")
+    assert main(["verify", str(manifest), "A"]) == 65
+    assert (f"{facts}: line 3: cannot parse {bom + 'element c'!r}"
+            in capsys.readouterr().err)
+    facts.write_text("element a\nA(b)\n", encoding="utf-8")
+    manifest.write_text(bom + "facts = bom.facts\n" + bom + "positive = b\n",
+                        encoding="utf-8")
+    assert main(["verify", str(manifest), "A"]) == 65
+    assert (f"{manifest}:2: unknown key {bom + 'positive'!r}"
+            in capsys.readouterr().err)
+
+
+def test_modules_import_without_warnings(tmp_path):
+    # each module compiled from its source (an empty bytecode cache) with
+    # every warning an error: an invalid escape in a string literal, or a
+    # deprecated call at import, fails here
+    names = sorted(m.name for m in pkgutil.iter_modules(alcfit.__path__))
+    assert {"cli", "data", "encoder", "solver"} <= set(names)
+    code = ("import importlib\n"
+            f"for name in {names!r}:\n"
+            "    importlib.import_module('alcfit.' + name)\n")
+    env = {**ALCFIT_ENV, "PYTHONPYCACHEPREFIX": str(tmp_path)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert any(tmp_path.rglob("data*.pyc"))  # compiled, not read from cache
+
+
 def test_data_errors(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "missing.manifest")]) == 65
     bad = tmp_path / "bad.manifest"
@@ -384,6 +428,20 @@ def test_encode_output_is_pinned(tmp_path, capsys):
         assert main(["encode", str(manifest), "--max-size", "5",
                      "--emit-dimacs", str(out), *flags]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, flags
+
+
+def test_typed_name_encoding_is_pinned(tmp_path, capsys):
+    # the role-free type grid: typed name semantics and the syntax group
+    # make up the file
+    interp = gen_type_grid(300, 20, 12)
+    picks = random.Random(1).sample(interp.domain, 40)
+    manifest = save_sample(Sample(interp, tuple(picks[:20]),
+                                  tuple(picks[20:])), tmp_path, "names")
+    out = tmp_path / "k3.cnf"
+    assert main(["encode", str(manifest), "--max-size", "3",
+                 "--emit-dimacs", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "67a2ad745f4c7128ffaaa2716183bcdc697739b3b406544f79f597ff51c4f91a")
 
 
 def test_encode_leaves_the_file_on_an_encoding_error(fig1_manifest, tmp_path,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import random
 import re
 import tracemalloc
 from unittest import mock
@@ -269,6 +270,113 @@ def test_padded_lines_parse_as_canonical_lines(lines):
     padded = "\n".join(line if how == 3 else _pad(line, how)
                        for line, how in lines)
     assert load_facts(padded) == canonical  # domain order included
+
+
+# elements, plain and prefixed, of the random interpretations below
+_POOL = ["a", "b", "c_1", "e9", "f1:x", "f2:y", "f10:a", "z"]
+
+
+@st.composite
+def _interpretations(draw):
+    """An interpretation over some of _POOL, in random domain order, with
+    extensions of any size, one fact or none included."""
+    elems = draw(st.lists(st.sampled_from(_POOL), min_size=1, unique=True))
+    subsets = st.sets(st.sampled_from(elems))
+    pairs = st.sets(st.tuples(st.sampled_from(elems), st.sampled_from(elems)))
+    return Interpretation(elems, {a: draw(subsets) for a in "ABC"},
+                          {r: draw(pairs) for r in "rs"})
+
+
+def _layouts(interp: Interpretation, rng: random.Random) -> dict:
+    """interp's fact lines, element declarations included, in the order
+    save_facts writes them, in subject order (each element's declaration,
+    then the facts it is the subject of) and shuffled."""
+    by_subject: dict[str, list[str]] = {e: [f"element {e}"]
+                                        for e in interp.domain}
+    for a, ext in interp.concept_ext.items():
+        for e in sorted(ext):
+            by_subject[e].append(f"{a}({e})")
+    for r, edges in interp.role_ext.items():
+        for x, y in sorted(edges):
+            by_subject[x].append(f"{r}({x},{y})")
+    subject = [line for lines in by_subject.values() for line in lines]
+    shuffled = subject[:]
+    rng.shuffle(shuffled)
+    return {"save": save_facts(interp).splitlines(), "subject": subject,
+            "shuffled": shuffled}
+
+
+@settings(deadline=None, max_examples=150)
+@given(_interpretations(), st.randoms(use_true_random=False),
+       st.integers(1, 40))
+def test_runs_read_every_layout_as_the_general_path(tmp_path_factory, interp,
+                                                    rng, batch):
+    out = tmp_path_factory.mktemp("layouts")
+    facts = out / "t.facts"
+    (out / "t.manifest").write_text("facts = t.facts\n", encoding="utf-8")
+    for layout, lines in _layouts(interp, rng).items():
+        for declared in (True, False):
+            if not declared:
+                lines = [line for line in lines
+                         if not line.startswith("element ")]
+            text = "".join(line + "\n" for line in lines)
+            # padded, every line takes the general path of the line loop
+            expected = _outcome(lambda: load_facts(
+                "".join(_pad(line, 1) + "\n" for line in lines)))
+            assert _outcome(lambda: load_facts(text)) == expected
+            facts.write_text(text, encoding="utf-8")
+            # small batches cut runs across pieces
+            with mock.patch.object(data, "_BATCH", batch):
+                got = _outcome(lambda: load_sample(out / "t.manifest").interp)
+            if isinstance(expected, str):
+                expected = f"{facts}: {expected}"
+            assert got == expected, (layout, declared)  # domain order too
+
+
+# a run broken by a line the general path rejects: the error, and its line
+# number, are those of the line loop
+_RUN_ERRORS = {
+    "r(a,b)\nnot(a,b)\n": "line 2: role identifier 'not' is reserved",
+    "r(a,b)\nr(b,c)\nnot(a,b)\nnot(b,a)\n":
+        "line 3: role identifier 'not' is reserved",
+    "A(a)\nA(b)\nA(1x)\nA(c)\n": "line 3: bad element identifier '1x'",
+    "element a\nelement b\nelement 9z\nelement c\n":
+        "line 3: bad element identifier '9z'",
+    "r(a,b)\nr(b,1x)\nr(c,d)\n": "line 2: bad element identifier '1x'",
+    "A(a)\nA(b)\nA(f1:x)\nA(f1:)\n": "line 4: bad element identifier 'f1:'",
+}
+
+
+@pytest.mark.parametrize("text", list(_RUN_ERRORS))
+def test_a_line_that_breaks_a_run_fails_as_before(tmp_path, text):
+    message = _RUN_ERRORS[text]
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_facts(text)
+    (tmp_path / "t.facts").write_text(text, encoding="utf-8")
+    (tmp_path / "t.manifest").write_text("facts = t.facts\n",
+                                         encoding="utf-8")
+    for batch in (1, 7, 1 << 16):
+        with mock.patch.object(data, "_BATCH", batch), \
+                pytest.raises(DataError, match=re.escape(message)):
+            load_sample(tmp_path / "t.manifest")
+
+
+def test_saved_benchmark_samples_are_read_by_runs(tmp_path, monkeypatch):
+    # the small instances of the encode-names and encode-roles benchmarks,
+    # as save_facts writes them: every name has two facts or more, so the
+    # line loop reads none of their lines
+    read = []
+    lines = data._Reader.lines
+    monkeypatch.setattr(data._Reader, "lines",
+                        lambda self, batch: lines(self, read.extend(batch)
+                                                  or batch))
+    for interp in (gen_type_grid(300, 20, 12),
+                   gen_random(60, 4, 2, 0.05, 10, 10, 1).interp):
+        manifest = save_sample(Sample(interp, (), ()), tmp_path)
+        assert load_sample(manifest).interp == interp
+    assert read == []
+    assert load_facts("A(a)\n") == Interpretation(["a"], {"A": {"a"}}, {})
+    assert read == ["A(a)"]  # the patch sees the line loop's lines
 
 
 def _traced_load(manifest):
