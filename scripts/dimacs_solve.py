@@ -16,13 +16,13 @@ from pathlib import Path
 
 try:
     from alcfit.encoder import Cnf
-    from alcfit.solver import NativeSession, parse_dimacs
+    from alcfit.solver import NativeSession, SolverError, parse_dimacs
 except ModuleNotFoundError as exc:  # not installed: use this checkout's
     if exc.name != "alcfit":
         raise
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from alcfit.encoder import Cnf
-    from alcfit.solver import NativeSession, parse_dimacs
+    from alcfit.solver import NativeSession, SolverError, parse_dimacs
 
 
 def main(argv=None) -> int:
@@ -30,7 +30,12 @@ def main(argv=None) -> int:
     parser.add_argument("cnf", help="DIMACS CNF file")
     args = parser.parse_args(argv)
 
-    num_vars, clauses = parse_dimacs(Path(args.cnf).read_text(encoding="utf-8"))
+    try:
+        num_vars, clauses = parse_dimacs(
+            Path(args.cnf).read_text(encoding="utf-8"))
+    except SolverError as exc:  # no `s` line: the caller sees a failure
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
     if not all(clauses):  # an empty clause: no solver needed
         print("s UNSATISFIABLE")
         return 20

@@ -15,17 +15,15 @@ the rest is carried into the next piece, so loading needs memory of the
 order of the interpretation, not of the file; load_facts reads its text
 as one piece.
 
-A piece is read by runs: two or more lines in a row in the exact forms
-save_facts writes (`element e`, `A(e)`, `r(e,f)`: no whitespace, no
+A line is read one of two ways.  Two or more lines in a row in the exact
+forms save_facts writes (`element e`, `A(e)`, `r(e,f)`: no whitespace, no
 comment), all element declarations or all facts on one name, whose names
-and elements pass the general parser's checks.  A run is added at once:
+and elements pass the general parser's checks, are a run, added at once:
 one split gives its elements in line order, those not seen before join
-the domain in that order, and one set update adds its facts.  Any other
-line goes to the per-line loop, where a line in those exact forms on
-known names and elements takes a shortcut and every other line, and every
-error, takes the general path.  From a piece's second such line on, the
-rest of the piece goes to the per-line loop, so a file in subject order
-or shuffled costs a failed match or two a piece.
+the domain in that order, and one set update adds its facts.  Every other
+line, and every error, goes to the general parser, one line at a time;
+from a piece's second such line on, the rest of the piece does, so a file
+in subject order or shuffled costs a failed match or two a piece.
 
 A sample manifest is structured text with repeatable blocks, one per fact
 file; a new block starts at each `facts =` line:
@@ -49,7 +47,7 @@ from itertools import filterfalse, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .concepts import Signature
+from .concepts import _KEYWORDS, Signature
 
 __all__ = [
     "DataError", "Interpretation", "Sample", "TypeTable",
@@ -66,12 +64,11 @@ class DataError(ValueError):
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(_IDENT + r"\Z")
 _PREFIXED_RE = re.compile(r"f\d+:" + _IDENT + r"\Z")
-_CONCEPT_FACT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(\s*([A-Za-z0-9_:]+)\s*\)\Z")
-_ROLE_FACT_RE = re.compile(
-    r"([A-Za-z_][A-Za-z0-9_]*)\(\s*([A-Za-z0-9_:]+)\s*,\s*([A-Za-z0-9_:]+)\s*\)\Z")
-
-_RESERVED = frozenset({"top", "bot", "not", "and", "or", "exists", "forall",
-                       "element"})
+# a fact for the general parser: a role fact when it has a second argument
+_FACT_RE = re.compile(rf"({_IDENT})\(\s*([A-Za-z0-9_:]+)\s*"
+                      r"(?:,\s*([A-Za-z0-9_:]+)\s*)?\)\Z")
+# the concept parser's keywords, and the fact files' own
+_RESERVED = _KEYWORDS | {"element"}
 
 
 class Interpretation:
@@ -208,19 +205,12 @@ class TypeTable:
 # ---------------------------------------------------------------------------
 # fact files
 
-def _check_ident(name: str, what: str, lineno: int) -> None:
-    if not _IDENT_RE.match(name):
-        raise DataError(f"line {lineno}: bad {what} identifier {name!r}")
-    if name in _RESERVED:
-        raise DataError(f"line {lineno}: {what} identifier {name!r} is reserved")
-
-
 # characters per chunk that load_sample reads from a fact file
 _BATCH = 1 << 16
 
 # a run: two or more lines in the forms save_facts writes, each ended by
 # "\n", that are all element declarations or all facts on one name.  Its
-# names and elements pass the checks of the general path: a concept name
+# names and elements pass the checks of the general parser: a concept name
 # starts uppercase, a role name lowercase and is not reserved, and an
 # element is an identifier, prefixed or not (_IDENT_RE, _PREFIXED_RE)
 _ELEM = rf"(?:{_IDENT}|f\d+:{_IDENT})"
@@ -229,6 +219,12 @@ _RUN_RE = re.compile(
     rf"|([A-Z][A-Za-z0-9_]*)\({_ELEM}\)\n(?:\1\({_ELEM}\)\n)+"
     rf"|(?!(?:{'|'.join(sorted(_RESERVED))})\()"
     rf"([a-z][A-Za-z0-9_]*)\({_ELEM},{_ELEM}\)\n(?:\2\({_ELEM},{_ELEM}\)\n)+")
+
+
+def _frozen(exts: dict[str, set]) -> dict[str, frozenset]:
+    """exts frozen one extension at a time, each set dropped as it goes, so
+    no second copy of every extension is alive at once; exts ends empty."""
+    return {name: frozenset(exts.pop(name)) for name in list(exts)}
 
 
 def load_facts(text: str) -> Interpretation:
@@ -259,10 +255,10 @@ def _pieces(fh) -> Iterator[str]:
 class _Reader:
     """The fact-file reader: one interpretation, read piece by piece.
 
-    Each piece is read by runs (_RUN_RE), each added at once, and any line
-    no run takes goes to the per-line loop (lines); both keep the same
-    tables and count lines the same way, so a line reads the same, and
-    fails with the same message and line number, whichever path reads it.
+    A line is read in a run (_RUN_RE, take), added at once with the rest
+    of its run, or by the general parser (lines), which reads every other
+    line and finds every error.  Both keep the same tables and count lines
+    the same way, so a line reads the same whichever of them reads it.
     """
 
     __slots__ = ("domain", "seen", "concept_ext", "role_ext", "lineno")
@@ -283,17 +279,12 @@ class _Reader:
             self.runs(piece)
         if not self.domain:
             raise DataError("empty domain: no facts or element declarations")
-        # freeze one extension at a time, dropping its set as it goes, so
-        # no second copy of every extension is alive at once
-        concept_ext, role_ext = self.concept_ext, self.role_ext
-        return Interpretation(
-            self.domain,
-            {a: frozenset(concept_ext.pop(a)) for a in list(concept_ext)},
-            {r: frozenset(role_ext.pop(r)) for r in list(role_ext)})
+        return Interpretation(self.domain, _frozen(self.concept_ext),
+                              _frozen(self.role_ext))
 
     def runs(self, piece: str) -> None:
         """Read a piece of whole lines run by run.  A line where no run
-        starts goes to the per-line loop, up to the next "\n"; from the
+        starts goes to the general parser, up to the next "\n"; from the
         second such line on, the rest of the piece does, so a piece with
         few runs costs one or two failed matches."""
         match = _RUN_RE.match
@@ -355,7 +346,7 @@ class _Reader:
         self.domain += new
 
     def lines(self, lines: list[str]) -> None:
-        """The per-line loop, over whole lines without their ends, which
+        """The general parser, over whole lines without their ends, which
         follow the lineno lines read so far."""
         domain, seen = self.domain, self.seen
         concept_ext, role_ext = self.concept_ext, self.role_ext
@@ -372,63 +363,31 @@ class _Reader:
             return elem
 
         for lineno, raw in enumerate(lines, start=self.lineno + 1):
-            # first the exact forms save_facts writes, on checked names and
-            # known elements; these hold no whitespace, "#", "(", ")" or ",",
-            # so the general path below would read such a line the same way
-            head, _, rest = raw.partition("(")
-            if rest[-1:] == ")":
-                ext = concept_ext.get(head)
-                if ext is not None:
-                    elem = seen.get(rest[:-1])
-                    if elem is not None:
-                        ext.add(elem)
-                        continue
-                else:
-                    pairs = role_ext.get(head)
-                    if pairs is not None:
-                        x, _, y = rest[:-1].partition(",")
-                        x, y = seen.get(x), seen.get(y)
-                        if x is not None and y is not None:
-                            pairs.add((x, y))
-                            continue
-            elif raw[:8] == "element ":
-                elem = raw[8:]
-                if elem in seen:
-                    continue
-                if _IDENT_RE.match(elem):
-                    seen[elem] = elem
-                    domain.append(elem)
-                    continue
-
             line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
             if not line:
                 continue
             if line.startswith("element "):
-                elem = line[len("element "):].strip()
-                touch(elem, lineno)
+                touch(line[len("element "):].strip(), lineno)
                 continue
-            m = _ROLE_FACT_RE.match(line) if "," in line else None
-            if m:
-                role, x, y = m.groups()
-                if role not in role_ext:
-                    if not role[0].islower():
-                        raise DataError(f"line {lineno}: role names start "
-                                        f"lowercase: {role!r}")
-                    _check_ident(role, "role", lineno)
-                role_ext.setdefault(role, set()).add(
-                    (touch(x, lineno), touch(y, lineno)))
+            m = _FACT_RE.match(line)
+            if m is None:
+                raise DataError(f"line {lineno}: cannot parse {raw.strip()!r}")
+            # the name matched _IDENT; a concept name is never reserved
+            name, x, y = m.groups()
+            if y is None:
+                if not name[0].isupper():
+                    raise DataError(f"line {lineno}: concept names start "
+                                    f"uppercase: {name!r}")
+                concept_ext.setdefault(name, set()).add(touch(x, lineno))
                 continue
-            m = _CONCEPT_FACT_RE.match(line)
-            if m:
-                name, elem = m.groups()
-                if name not in concept_ext:
-                    if not name[0].isupper():
-                        raise DataError(f"line {lineno}: concept names start "
-                                        f"uppercase: {name!r}")
-                    _check_ident(name, "concept", lineno)
-                concept_ext.setdefault(name, set()).add(touch(elem, lineno))
-                continue
-            raise DataError(f"line {lineno}: cannot parse {raw.strip()!r}")
+            if not name[0].islower():
+                raise DataError(f"line {lineno}: role names start "
+                                f"lowercase: {name!r}")
+            if name in _RESERVED:
+                raise DataError(
+                    f"line {lineno}: role identifier {name!r} is reserved")
+            role_ext.setdefault(name, set()).add(
+                (touch(x, lineno), touch(y, lineno)))
         self.lineno += len(lines)
 
 
@@ -489,10 +448,7 @@ def _merge(count: int,
 
     for idx in range(1, count + 1):
         add(idx, next(blocks))
-    # freeze one extension at a time, as _Reader.read does
-    merged = Interpretation(
-        domain, {a: frozenset(concept_ext.pop(a)) for a in list(concept_ext)},
-        {r: frozenset(role_ext.pop(r)) for r in list(role_ext)})
+    merged = Interpretation(domain, _frozen(concept_ext), _frozen(role_ext))
     return merged, tuple(positives), tuple(negatives)
 
 

@@ -335,21 +335,27 @@ def export_dimacs(cnf: Cnf, vm: VarMap | None = None) -> DimacsText:
 
 
 def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
+    """The variable count and clauses of DIMACS CNF text.  A header or
+    clause line with a token that is not an integer (a SATLIB file's `%`
+    end marker, say) is a SolverError that names the line."""
     num_vars = 0
     clauses: list[list[int]] = []
     current: list[int] = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise SolverError(f"bad DIMACS header: {line!r}")
-            num_vars = int(parts[2])
+        header, parts = line.startswith("p"), line.split()
+        if header and (len(parts) != 4 or parts[1] != "cnf"):
+            raise SolverError(f"bad DIMACS header: {line!r}")
+        try:
+            ints = [int(tok) for tok in (parts[2:] if header else parts)]
+        except ValueError:
+            raise SolverError(f"bad DIMACS line {lineno}: {line!r}") from None
+        if header:
+            num_vars = ints[0]
             continue
-        for tok in line.split():
-            lit = int(tok)
+        for lit in ints:
             if lit == 0:
                 clauses.append(current)
                 current = []
@@ -366,8 +372,8 @@ class DimacsSession(SolverSession):
     runs the configured command on it.  Exit code 10 or an `s SATISFIABLE`
     line means sat, 20 / `s UNSATISFIABLE` unsat, any other `s` line (such
     as `s UNKNOWN`) or a timeout unknown.  A command that exits otherwise
-    without an `s` line, or answers sat without a `v` line, has failed:
-    SolverError."""
+    without an `s` line, answers sat without a `v` line or gives a `v`
+    line that is not integers, has failed: SolverError."""
 
     def __init__(self, command: str, config: SolverConfig = SolverConfig()):
         super().__init__(config)
@@ -430,8 +436,12 @@ class DimacsSession(SolverSession):
                     status = UNSAT
             elif line.startswith("v "):
                 modelled = True
-                for tok in line[2:].split():
-                    lit = int(tok)
+                try:
+                    lits = [int(tok) for tok in line[2:].split()]
+                except ValueError:
+                    raise SolverError(f"{self._argv[0]!r} gave a bad `v` "
+                                      f"line: {line!r}") from None
+                for lit in lits:
                     if lit:
                         values[abs(lit)] = lit > 0
         if proc.returncode not in (10, 20) and not answered:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -189,17 +190,21 @@ def test_usage_errors(fig1_manifest):
 
 
 def test_solver_errors(fig1_manifest, capsys):
-    # a backend that is unknown, cannot be run, fails or answers SAT without
-    # a model: one error line and sysexits EX_UNAVAILABLE, not a traceback
-    # or a timeout
+    # a backend that is unknown, cannot be run, fails, answers SAT without
+    # a model or with a `v` line that is not integers: one error line and
+    # sysexits EX_UNAVAILABLE, not a traceback or a timeout
     crash = f"{sys.executable} -c 'import sys; sys.exit(3)'"
     bare = f"{sys.executable} -c 'import sys; sys.exit(10)'"
+    garbled = (f"{sys.executable} -c "
+               "'print(\"s SATISFIABLE\"); print(\"v 1 x 0\")'")
     for backend, message in (("bogus", "unknown backend 'bogus'"),
                              ("dimacs:no-such-binary",
                               "cannot run 'no-such-binary'"),
                              (f"dimacs:{crash}", "exited with code 3"),
                              (f"dimacs:{bare}", "answered SAT but gave no "
-                                                "model")):
+                                                "model"),
+                             (f"dimacs:{garbled}", "gave a bad `v` line: "
+                                                   "'v 1 x 0'")):
         capsys.readouterr()
         assert main(["fit", str(fig1_manifest),
                      "--backend", backend]) == 69, backend
@@ -618,3 +623,28 @@ def test_gen_validation(tmp_path, capsys):
                  str(tmp_path)]) == 65
     assert main(["gen", "mostgeneral", "--n", "1", "--out",
                  str(tmp_path)]) == 65
+
+
+def _readme_section(text: str, heading: str) -> str:
+    """The body of a `## heading` section of README.md."""
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_documents_every_option():
+    # every option of fit, encode, verify and dualize is in README's
+    # synopsis, and every option of gen in it or in the Generators list
+    readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+    synopsis = _readme_section(readme, "Command line").split("```")[1]
+    generators = _readme_section(readme, "Generators")
+    sub = next(action for action in alcfit.cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    missing = []
+    for command in ("fit", "encode", "verify", "dualize", "gen"):
+        docs = synopsis + (generators if command == "gen" else "")
+        for action in sub.choices[command]._actions:
+            for option in action.option_strings:
+                if (option.startswith("--") and option != "--help"
+                        and not re.search(re.escape(option) + r"(?![\w-])",
+                                          docs)):
+                    missing.append(f"{command} {option}")
+    assert missing == []

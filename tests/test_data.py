@@ -55,7 +55,7 @@ _BAD = {
     "element a b": "bad element identifier 'a b'",
 }
 # four lines that make A, r, a, b and c known, so that a bad line after
-# them meets the shortcuts for known names and elements
+# them meets known names and elements
 _KNOWN = "A(a)\nA(b)\nr(a,b)\nelement c\n"
 
 
@@ -80,7 +80,7 @@ def test_load_facts_checks_names_per_kind():
 
 
 def test_repeated_concept_facts_keep_the_language():
-    # a fact on a known name and element takes a shortcut past the regex;
+    # a fact on a known name and element is read as the first one was;
     # what it accepts and how it fails must not change
     interp = load_facts("A(e)\nA( e )\nA(f)\nA(\te)\n")
     assert interp.concept_ext == {"A": frozenset({"e", "f"})}
@@ -264,8 +264,8 @@ def _pad(line: str, how: int) -> str:
 @given(st.lists(st.tuples(_CANONICAL, st.integers(0, 3)), min_size=1,
                 max_size=16))
 def test_padded_lines_parse_as_canonical_lines(lines):
-    # the canonical forms are those the shortcuts read once their names and
-    # elements are known; the padded ones always take the general path
+    # the canonical forms are those runs read; the padded ones only the
+    # general parser reads
     canonical = load_facts("\n".join(line for line, _ in lines))
     padded = "\n".join(line if how == 3 else _pad(line, how)
                        for line, how in lines)
@@ -320,7 +320,7 @@ def test_runs_read_every_layout_as_the_general_path(tmp_path_factory, interp,
                 lines = [line for line in lines
                          if not line.startswith("element ")]
             text = "".join(line + "\n" for line in lines)
-            # padded, every line takes the general path of the line loop
+            # padded, every line is read by the general parser
             expected = _outcome(lambda: load_facts(
                 "".join(_pad(line, 1) + "\n" for line in lines)))
             assert _outcome(lambda: load_facts(text)) == expected
@@ -333,8 +333,8 @@ def test_runs_read_every_layout_as_the_general_path(tmp_path_factory, interp,
             assert got == expected, (layout, declared)  # domain order too
 
 
-# a run broken by a line the general path rejects: the error, and its line
-# number, are those of the line loop
+# a run broken by a line the general parser rejects: the error, and its
+# line number, are those of the general parser
 _RUN_ERRORS = {
     "r(a,b)\nnot(a,b)\n": "line 2: role identifier 'not' is reserved",
     "r(a,b)\nr(b,c)\nnot(a,b)\nnot(b,a)\n":
@@ -364,7 +364,7 @@ def test_a_line_that_breaks_a_run_fails_as_before(tmp_path, text):
 def test_saved_benchmark_samples_are_read_by_runs(tmp_path, monkeypatch):
     # the small instances of the encode-names and encode-roles benchmarks,
     # as save_facts writes them: every name has two facts or more, so the
-    # line loop reads none of their lines
+    # general parser reads none of their lines
     read = []
     lines = data._Reader.lines
     monkeypatch.setattr(data._Reader, "lines",
@@ -376,7 +376,24 @@ def test_saved_benchmark_samples_are_read_by_runs(tmp_path, monkeypatch):
         assert load_sample(manifest).interp == interp
     assert read == []
     assert load_facts("A(a)\n") == Interpretation(["a"], {"A": {"a"}}, {})
-    assert read == ["A(a)"]  # the patch sees the line loop's lines
+    assert read == ["A(a)"]  # the patch sees the general parser's lines
+
+
+def test_full_size_benchmark_samples_are_read_by_runs(tmp_path, monkeypatch):
+    # the encode-names type grid and the encode-roles interpretations of
+    # seeds 0-3 at full size, as save_sample writes them: the general
+    # parser reads none of their lines
+    read = []
+    lines = data._Reader.lines
+    monkeypatch.setattr(data._Reader, "lines",
+                        lambda self, batch: lines(self, read.extend(batch)
+                                                  or batch))
+    samples = [Sample(gen_type_grid(19221, 133, 105), (), ())]
+    samples += [gen_random(2000, 4, 2, 0.002, 10, 10, s) for s in range(4)]
+    for i, sample in enumerate(samples):
+        manifest = save_sample(sample, tmp_path, f"s{i}")
+        assert load_sample(manifest).interp == sample.interp
+        assert read == [], i
 
 
 def _traced_load(manifest):

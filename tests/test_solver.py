@@ -694,6 +694,25 @@ def test_parse_dimacs_rejects_bad_header():
         parse_dimacs("p dnf 2 1\n1 0\n")
 
 
+def test_dimacs_text_that_is_not_integers_names_its_line(tmp_path):
+    # a SATLIB file ends with a "%" line; any token that is not an integer
+    # is an error naming its line, and dimacs_solve.py prints it as one
+    # line with no answer, so a DIMACS session reports it as a failure
+    for text, message in (
+            ("p cnf 2 1\n1 -2 0\n%\n0\n", "bad DIMACS line 3: '%'"),
+            ("c x\np cnf 2 1\n1 x 0\n", "bad DIMACS line 3: '1 x 0'"),
+            ("p cnf two 1\n1 0\n", "bad DIMACS line 1: 'p cnf two 1'")):
+        with pytest.raises(SolverError, match=re.escape(message)):
+            parse_dimacs(text)
+    cnf = tmp_path / "satlib.cnf"
+    cnf.write_text("p cnf 2 1\n1 -2 0\n%\n0\n", encoding="utf-8")
+    script = Path(__file__).parent.parent / "scripts" / "dimacs_solve.py"
+    proc = subprocess.run([sys.executable, str(script), str(cnf)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "dimacs_solve.py: error: bad DIMACS line 3: '%'\n"
+
+
 def test_subprocess_backend_on_encodings(fig1_sample):
     for k, expected in ((3, "unsat"), (4, "sat")):
         cnf, vm = build_encoding(fig1_sample, k, O_ALL)
