@@ -1,13 +1,13 @@
-//! The built-in CDCL solver of [`solver`] behind the `satbridge` C ABI: eight
-//! `unsafe extern "C"` calls that the Python package binds through ctypes.
+//! The built-in CDCL solver of [`solver`] behind the `satbridge` C ABI: seven
+//! `extern "C"` calls that the Python package binds through ctypes.
 //! The crate has no dependencies, so the Python package has a SAT backend
 //! wherever a Rust toolchain works offline.
 //!
-//! Safety: every call but `satbridge_new` trusts its caller with raw
+//! Safety: every call but `satbridge_signature` is `unsafe`, and every one
+//! but `satbridge_new` and `satbridge_signature` trusts its caller with raw
 //! pointers.  A solver pointer must come from `satbridge_new` and not yet
-//! be freed, a buffer pointer must be valid for the length passed with it,
-//! and a string must come from `satbridge_signature`; null is accepted only
-//! where a convention below says so.
+//! be freed, and a buffer pointer must be valid for the length passed with
+//! it; null is accepted only where a convention below says so.
 //!
 //! Conventions:
 //!   * literals are nonzero i32 in DIMACS sign convention, and a buffer of
@@ -21,12 +21,12 @@
 //!   * `satbridge_model` copies the last model at once: `out[v]` becomes
 //!     +1 / -1 / 0 for variable `v` true / false / unassigned, `out[0]` 0;
 //!   * `satbridge_conflicts` gives the conflicts of the last solve;
-//!   * `satbridge_signature` returns an owned C string, which the caller
-//!     frees with `satbridge_string_free`.
+//!   * `satbridge_signature` returns a static NUL-terminated string, which
+//!     the caller reads and never frees (as IPASIR's `ipasir_signature`).
 
 mod solver;
 
-use std::ffi::{c_char, CString};
+use std::ffi::c_char;
 use std::time::Duration;
 
 use solver::{Solver, Status};
@@ -139,22 +139,13 @@ pub unsafe extern "C" fn satbridge_conflicts(ptr: *mut Solver) -> i64 {
     unsafe { &*ptr }.last_conflicts() as i64
 }
 
-/// # Safety
-/// `ptr` as the crate docs say; the result goes to `satbridge_string_free`.
+/// The solver's name and version, a static string that lives as long as
+/// the library.
 #[no_mangle]
-pub unsafe extern "C" fn satbridge_signature(_ptr: *mut Solver) -> *mut c_char {
-    CString::new(concat!("alcfit-cdcl-", env!("CARGO_PKG_VERSION")))
-        .unwrap_or_default()
-        .into_raw()
-}
-
-/// # Safety
-/// `s` is null or from `satbridge_signature`, as the crate docs say.
-#[no_mangle]
-pub unsafe extern "C" fn satbridge_string_free(s: *mut c_char) {
-    if !s.is_null() {
-        drop(unsafe { CString::from_raw(s) });
-    }
+pub extern "C" fn satbridge_signature() -> *const c_char {
+    concat!("alcfit-cdcl-", env!("CARGO_PKG_VERSION"), "\0")
+        .as_ptr()
+        .cast()
 }
 
 /// The C calls driven as the Python bindings drive them.  Each test makes
@@ -245,15 +236,13 @@ mod tests {
     }
 
     #[test]
-    fn the_signature_is_an_owned_string() {
-        unsafe {
-            let ptr = satbridge_new();
-            let raw = satbridge_signature(ptr);
-            let expected = format!("alcfit-cdcl-{}", env!("CARGO_PKG_VERSION"));
-            assert_eq!(CStr::from_ptr(raw).to_str(), Ok(expected.as_str()));
-            satbridge_string_free(raw);
-            satbridge_string_free(ptr::null_mut());
-            satbridge_free(ptr);
-        }
+    fn the_signature_is_one_static_string() {
+        let expected = format!("alcfit-cdcl-{}", env!("CARGO_PKG_VERSION"));
+        let raw = satbridge_signature();
+        assert_eq!(raw, satbridge_signature());
+        // a static NUL-terminated string: readable without a solver, and
+        // the same pointer every call, so nothing is allocated to free
+        let text = unsafe { CStr::from_ptr(raw) };
+        assert_eq!(text.to_str(), Ok(expected.as_str()));
     }
 }

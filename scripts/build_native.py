@@ -6,7 +6,7 @@ Run after changing native/cdcl/src/:
     python3 scripts/build_native.py [--profile release]
 
 Builds the one crate native/cdcl offline (it has no dependencies): the
-built-in CDCL solver and the eight `satbridge_*` C calls of its lib.rs.
+built-in CDCL solver and the seven `satbridge_*` C calls of its lib.rs.
 The library is copied from where cargo reports it built it, so a
 `CARGO_TARGET_DIR` is honoured and no stale build is picked up.
 """

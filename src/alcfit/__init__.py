@@ -27,7 +27,7 @@ from .fitter import (APPROXIMATE, FITTED, NO_FIT_WITHIN_BOUND, TIMED_OUT,
                      bounded_fit, encode_size, verify)
 from .oracle import (brute_force_fit, enumerate_concepts, exact_fit_profile,
                      max_coverage)
-from .solver import (SAT, SolveOutcome, SolverConfig, SolverError, UNKNOWN,
-                     UNSAT, export_dimacs, make_session, parse_dimacs)
+from .solver import (SAT, SolveOutcome, SolverError, UNKNOWN, UNSAT,
+                     export_dimacs, make_session, parse_dimacs)
 
 __version__ = "0.1.0"

@@ -547,10 +547,17 @@ def dualize_interpretation(interp: Interpretation, sigma: Signature) -> Interpre
     """Complement the extensions of concept names in sigma; keep roles.
 
     Involution for a fixed sigma: dualizing twice returns an equal
-    interpretation.
+    interpretation.  A name of sigma that is a role of interp or no
+    concept name is a DataError: its facts would not load back.
     """
     concept_ext: dict[str, frozenset[str]] = {}
     touched = set(sigma.concept_names)
+    for name in sorted(touched):
+        if name in interp.role_ext:
+            raise DataError(f"cannot dualize {name!r}: it is a role name")
+        if not (_IDENT_RE.match(name) and name[0].isupper()):
+            raise DataError(f"cannot dualize {name!r}: concept names are "
+                            "identifiers that start uppercase")
     for name, ext in interp.concept_ext.items():
         if name in touched:
             concept_ext[name] = interp.domain_set - ext

@@ -21,7 +21,9 @@ opens one solver session on it and adds the mode's goal:
   raises m, and the same session is asked again; when size k cannot reach
   m, or its share of the budget (1/K_HORIZON of what is left once the
   size-k encoding is built) is spent, the loop moves on to k+1.
-  Interrupting at any point leaves the best recorded concept.
+  The budget (``fit --timeout``) is what ends an anytime run with its best
+  concept so far.  An interrupt takes effect only once the running native
+  solve returns, as a KeyboardInterrupt, and the result is lost with it.
 
 Every concept handed back has been re-checked against the original sample
 by direct evaluation; a mismatch between solver model and evaluation aborts
@@ -41,7 +43,7 @@ from .encoder import (Cnf, EncodingError, VarMap, decode_model,
                       encode_coverage_at_least, encode_fitting,
                       encode_semantics_base, encode_semantics_typed,
                       encode_syntax, encode_templates)
-from .solver import SolverConfig, make_session
+from .solver import check_backend, make_session
 
 __all__ = [
     "FITTED", "NO_FIT_WITHIN_BOUND", "APPROXIMATE", "TIMED_OUT",
@@ -65,14 +67,15 @@ class FitConfig:
     budget: float | None = None       # wall-clock seconds for the whole run
     typed: bool = True
     templates: bool = True
-    seed: int = 0
-    backend: str = "native"
+    seed: int = 0                     # reaches no solver yet
+    backend: str = "native"           # "native" or "dimacs:<command>"
 
     def __post_init__(self) -> None:
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
         if self.budget is not None and not self.budget >= 0:  # NaN too
             raise ValueError(f"budget must be at least 0, not {self.budget}")
+        check_backend(self.backend)  # a run may never open a session
 
 
 @dataclass(frozen=True)
@@ -266,8 +269,7 @@ def _fit(sample: Sample, cfg: FitConfig, exact: bool) -> FitResult:
         slice_end = (None if exact or left is None
                      else time.monotonic() + left / K_HORIZON)
         outs = []
-        with make_session(SolverConfig(backend=cfg.backend,
-                                       seed=cfg.seed)) as sess:
+        with make_session(cfg.backend) as sess:
             sess.add_cnf(cnf)
             if exact:
                 sess.add_cnf(encode_fitting(sample, vm))

@@ -1,14 +1,16 @@
 """Incremental SAT sessions: an in-process native backend and a DIMACS
-subprocess fallback, behind one small session contract.
+subprocess fallback, behind one small session contract: a session from
+``make_session(backend)``, clauses only through ``add_cnf``, then ``solve``
+and ``close``.
 
 The native backend is the built-in CDCL solver of ``native/cdcl`` behind a
 tiny C ABI (bundled as ``_native/libsatbridge.so``; rebuild with
-``scripts/build_native.py``).  The eight ``satbridge_*`` calls and their
+``scripts/build_native.py``).  The seven ``satbridge_*`` calls and their
 conventions are written in ``native/cdcl/src/lib.rs``, directly over the
 solver, and ``_load_library`` binds each one.  The solver is deterministic
-for a fixed clause sequence; the configured seed does not reach it yet, so
-the search is fixed by the clauses alone.  Any other solver runs as a DIMACS
-subprocess (``dimacs:<command>``).
+for a fixed clause sequence and takes no seed, so the search is fixed by
+the clauses alone.  Any other solver runs as a DIMACS subprocess
+(``dimacs:<command>``).
 
 A session counts no literals itself: its variable count is the largest
 ``Cnf.num_vars`` it was given (see ``encoder.Cnf``), |assumption| or
@@ -53,8 +55,8 @@ from pathlib import Path
 from .encoder import Cnf, EncodingError, VarMap
 
 __all__ = [
-    "SolverError", "SolverConfig", "SolveOutcome", "SolverSession",
-    "NativeSession", "DimacsSession", "make_session",
+    "SolverError", "SolveOutcome", "SolverSession",
+    "NativeSession", "DimacsSession", "check_backend", "make_session",
     "DimacsText", "export_dimacs", "parse_dimacs",
 ]
 
@@ -69,12 +71,6 @@ _LONGEST_WAIT = (2**31 - 1) // 1000
 
 class SolverError(RuntimeError):
     """Backend failure: missing library, bad subprocess output, misuse."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    backend: str = "native"        # "native" or "dimacs:<command>"
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,7 @@ class SolveOutcome:
 class SolverSession:
     """Shared bookkeeping for both backends."""
 
-    def __init__(self, config: SolverConfig):
-        self.config = config
+    def __init__(self):
         self.num_vars = 0
         self.num_clauses = 0
 
@@ -106,17 +101,8 @@ class SolverSession:
         if n > self.num_vars:
             self.num_vars = n
 
-    def add_clause(self, lits) -> None:
-        """Add one clause: a one-clause add_cnf."""
-        lits = list(lits)
-        if not lits or 0 in lits:
-            raise SolverError(f"bad clause {lits}: a clause is a nonempty "
-                              "list of nonzero literals")
-        cnf = Cnf()
-        cnf.add("clause", lits)
-        self.add_cnf(cnf)
-
     def add_cnf(self, cnf: Cnf) -> None:
+        """Add the Cnf's clauses, the one way in for clauses."""
         raise NotImplementedError
 
     def solve(self, assumptions=(), conflict_budget: int | None = None,
@@ -189,9 +175,7 @@ def _load_library() -> ctypes.CDLL:
     lib.satbridge_model.restype = None
     lib.satbridge_conflicts.argtypes = [ctypes.c_void_p]
     lib.satbridge_conflicts.restype = ctypes.c_int64
-    lib.satbridge_signature.argtypes = [ctypes.c_void_p]
-    lib.satbridge_signature.restype = ctypes.c_void_p
-    lib.satbridge_string_free.argtypes = [ctypes.c_void_p]
+    lib.satbridge_signature.restype = ctypes.c_char_p
     _LIB = lib
     return lib
 
@@ -203,8 +187,8 @@ def _int32s(buf: array) -> tuple:
 
 
 class NativeSession(SolverSession):
-    def __init__(self, config: SolverConfig = SolverConfig()):
-        super().__init__(config)
+    def __init__(self):
+        super().__init__()
         self._lib = _load_library()
         self._ptr = self._lib.satbridge_new()
         if not self._ptr:
@@ -242,11 +226,8 @@ class NativeSession(SolverSession):
         return SolveOutcome(UNKNOWN, None, elapsed, conflicts)
 
     def signature(self) -> str:
-        raw = self._lib.satbridge_signature(self._ptr)
-        try:
-            return ctypes.cast(raw, ctypes.c_char_p).value.decode()
-        finally:
-            self._lib.satbridge_string_free(raw)
+        """The built-in solver's name and version."""
+        return self._lib.satbridge_signature().decode()
 
     def close(self) -> None:
         if self._ptr:
@@ -375,11 +356,9 @@ class DimacsSession(SolverSession):
     without an `s` line, answers sat without a `v` line or gives a `v`
     line that is not integers, has failed: SolverError."""
 
-    def __init__(self, command: str, config: SolverConfig = SolverConfig()):
-        super().__init__(config)
-        self._argv = shlex.split(command)
-        if not self._argv:
-            raise SolverError("empty DIMACS backend command")
+    def __init__(self, command: str):
+        super().__init__()
+        self._argv = shlex.split(check_backend("dimacs:" + command))
         self._cnf = Cnf()  # every clause so far, as the parts given
 
     def add_cnf(self, cnf: Cnf) -> None:
@@ -460,11 +439,22 @@ class DimacsSession(SolverSession):
         return SolveOutcome(status, None, elapsed)
 
 
-def make_session(config: SolverConfig = SolverConfig()) -> SolverSession:
-    backend = config.backend
+def check_backend(backend: str) -> str | None:
+    """The command of a "dimacs:<command>" backend, None for "native".
+    Any other string, or an empty command, is a SolverError; nothing is
+    loaded or run."""
     if backend == "native":
-        return NativeSession(config)
-    if backend.startswith("dimacs:"):
-        return DimacsSession(backend[len("dimacs:"):], config)
-    raise SolverError(f"unknown backend {backend!r}; "
-                      "use 'native' or 'dimacs:<command>'")
+        return None
+    if not backend.startswith("dimacs:"):
+        raise SolverError(f"unknown backend {backend!r}; "
+                          "use 'native' or 'dimacs:<command>'")
+    command = backend[len("dimacs:"):]
+    if not shlex.split(command):
+        raise SolverError("empty DIMACS backend command")
+    return command
+
+
+def make_session(backend: str = "native") -> SolverSession:
+    """A new session on the backend that check_backend reads."""
+    command = check_backend(backend)
+    return NativeSession() if command is None else DimacsSession(command)

@@ -41,6 +41,14 @@ def build_encoding(sample: Sample, k: int, ops: OperatorSet, *,
     return cnf.absorb(encode_fitting(sample, vm)), vm
 
 
+def add_clauses(session, *clauses) -> None:
+    """Add the clauses, lists of literals, to the session as one Cnf."""
+    cnf = Cnf()
+    for clause in clauses:
+        cnf.add("clause", clause)
+    session.add_cnf(cnf)
+
+
 def solve_encoding(cnf: Cnf, vm: VarMap,
                    assumptions=()) -> tuple[str, Concept | None]:
     session = make_session()

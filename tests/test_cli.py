@@ -10,12 +10,15 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from array import array
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import alcfit
 import alcfit.cli
@@ -25,8 +28,8 @@ from alcfit.cli import main
 from alcfit.data import Sample, load_sample, save_sample
 from alcfit.encoder import Cnf, EncodingError, _add_rows
 
-DIMACS_SOLVER = (f"{sys.executable} "
-                 f"{Path(__file__).parent.parent / 'scripts' / 'dimacs_solve.py'}")
+SCRIPTS = Path(__file__).parent.parent / "scripts"
+DIMACS_SOLVER = f"{sys.executable} {SCRIPTS / 'dimacs_solve.py'}"
 # the command line, in a process of its own, over the sources under test
 ALCFIT = [sys.executable, "-c",
           "import sys; from alcfit.cli import main; sys.exit(main())"]
@@ -213,6 +216,28 @@ def test_solver_errors(fig1_manifest, capsys):
         assert err.count("\n") == 1
 
 
+def test_backend_is_checked_before_the_input(contra_manifest, tmp_path,
+                                             capsys):
+    # an exact run on bisimilar examples opens no session, and a missing
+    # file fails on reading: the backend's form is checked before either
+    gone = tmp_path / "gone.manifest"
+    for manifest in (contra_manifest, gone):
+        for backend, message in (("bogus", "unknown backend 'bogus'"),
+                                 ("dimacs:", "empty DIMACS backend command"),
+                                 ("dimacs:  ", "empty DIMACS backend "
+                                               "command")):
+            capsys.readouterr()
+            assert main(["fit", str(manifest),
+                         "--backend", backend]) == 69, (manifest, backend)
+            err = capsys.readouterr().err
+            assert err.startswith("alcfit: error: ") and message in err
+            assert err.count("\n") == 1
+    # a well-formed backend lets the run reach its input
+    assert main(["fit", str(contra_manifest), "--backend",
+                 "dimacs:no-such-binary"]) == 20
+    assert main(["fit", str(gone), "--backend", "dimacs:no-such-binary"]) == 65
+
+
 def test_arguments_are_checked_before_the_input(tmp_path, capsys):
     # a bad argument is reported even when the fact file is missing
     manifest = tmp_path / "gone.manifest"
@@ -278,20 +303,29 @@ def test_input_may_start_with_a_byte_order_mark(tmp_path, capsys):
 
 
 def test_modules_import_without_warnings(tmp_path):
-    # each module compiled from its source (an empty bytecode cache) with
-    # every warning an error: an invalid escape in a string literal, or a
-    # deprecated call at import, fails here
+    # each module and script compiled from its source (an empty bytecode
+    # cache) with every warning an error: an invalid escape in a string
+    # literal, or a deprecated call at import, fails here
     names = sorted(m.name for m in pkgutil.iter_modules(alcfit.__path__))
     assert {"cli", "data", "encoder", "solver"} <= set(names)
-    code = ("import importlib\n"
+    scripts = sorted(map(str, SCRIPTS.glob("*.py")))
+    assert {"build_native.py", "dimacs_solve.py"} <= {
+        Path(script).name for script in scripts}
+    code = ("import importlib, importlib.util, pathlib\n"
             f"for name in {names!r}:\n"
-            "    importlib.import_module('alcfit.' + name)\n")
+            "    importlib.import_module('alcfit.' + name)\n"
+            f"for path in {scripts!r}:\n"
+            "    spec = importlib.util.spec_from_file_location(\n"
+            "        pathlib.Path(path).stem, path)\n"
+            "    spec.loader.exec_module(importlib.util.module_from_spec(spec))\n")
     env = {**ALCFIT_ENV, "PYTHONPYCACHEPREFIX": str(tmp_path)}
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert any(tmp_path.rglob("data*.pyc"))  # compiled, not read from cache
+    # compiled, not read from a cache
+    for stem in ("data", "build_native", "dimacs_solve"):
+        assert any(tmp_path.rglob(f"{stem}*.pyc")), stem
 
 
 def test_data_errors(tmp_path, capsys):
@@ -360,6 +394,49 @@ def test_dualize_signature_override(fig1_manifest, tmp_path, capsys):
     assert dual.interp.concept_ext["A"] == \
         original.interp.domain_set - original.interp.concept_ext["A"]
     assert dual.interp.concept_ext["B"] == original.interp.concept_ext["B"]
+
+
+def test_dualize_refuses_names_that_are_not_concept_names(fig1_manifest,
+                                                         tmp_path, capsys):
+    # a lowercase name, a role or a name that is no identifier would be
+    # written as facts that do not load back: refused, and nothing written
+    out_dir = tmp_path / "dual"
+    for names, message in (
+            ("a,A", "cannot dualize 'a': concept names are identifiers"),
+            ("r", "cannot dualize 'r': it is a role name"),
+            ("A,_B", "cannot dualize '_B'"),
+            ("A,1B", "cannot dualize '1B'"),
+            ("A-B", "cannot dualize 'A-B'"),
+            ("A, B", "cannot dualize ' B'")):
+        capsys.readouterr()
+        assert main(["dualize", str(fig1_manifest), "--out", str(out_dir),
+                     "--names", names]) == 65, names
+        err = capsys.readouterr().err
+        assert err.startswith("alcfit: error: ") and message in err, err
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.text("AZab_1r", max_size=3), max_size=3))
+def test_an_accepted_dualization_always_reloads(fig1_manifest, names):
+    # whatever --names holds, dualize either refuses it and writes nothing,
+    # or writes a sample that loads and verifies
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "dual"
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = main(["dualize", str(fig1_manifest), "--out", str(out_dir),
+                         "--names", ",".join(names)])
+        assert code in (0, 65)
+        if code == 65:
+            assert not out_dir.exists()
+            return
+        dual = load_sample(out_dir / "dual.manifest")
+        assert set(dual.interp.concept_ext) >= {n for n in names if n}
+        with redirect_stdout(StringIO()):
+            assert main(["verify", str(out_dir / "dual.manifest"),
+                         "top"]) == 0
 
 
 def test_dualize_argument_exclusivity(fig1_manifest, capsys):

@@ -22,7 +22,7 @@ from alcfit.fitter import encode_size, verify
 from alcfit.oracle import enumerate_concepts, exact_fit_profile
 from alcfit.solver import make_session
 
-from helpers import (build_encoding, corpus_samples, encoding_sat,
+from helpers import (add_clauses, build_encoding, corpus_samples, encoding_sat,
                      quantifier_fragments, solve_encoding)
 
 EL = frozenset({"exists", "and"})
@@ -412,7 +412,8 @@ def _model_shapes(k, ops, sigma=ROLE_SIGMA) -> list[tuple[int, ...]]:
             shapes.append(tuple(arity))
             if not ys:
                 break
-            session.add_clause([-v if out.model[v] else v for v in ys])
+            add_clauses(session,
+                        [-v if out.model[v] else v for v in ys])
         assert out.status in ("sat", "unsat")
     finally:
         session.close()

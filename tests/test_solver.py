@@ -25,11 +25,11 @@ from alcfit.encoder import (Cnf, EncodingError, Gather, Rows, _add_rows,
                             encode_coverage_at_least, encode_fitting)
 from alcfit.fitter import encode_size, verify
 from alcfit import solver
-from alcfit.solver import (DimacsSession, NativeSession, SolverConfig,
-                           SolverError, export_dimacs, make_session,
+from alcfit.solver import (DimacsSession, NativeSession, SolverError,
+                           check_backend, export_dimacs, make_session,
                            parse_dimacs)
 
-from helpers import build_encoding
+from helpers import add_clauses, build_encoding
 
 DIMACS_SOLVER = (f"{sys.executable} "
                  f"{Path(__file__).parent.parent / 'scripts' / 'dimacs_solve.py'}")
@@ -56,13 +56,12 @@ def pigeonhole(holes: int) -> Cnf:
 def test_native_sat_unsat_and_model():
     session = NativeSession()
     try:
-        session.add_clause([1, 2])
-        session.add_clause([-1])
+        add_clauses(session, [1, 2], [-1])
         out = session.solve()
         assert out.status == "sat" and out.is_sat
         assert out.model[0] is False  # index 0 is padding
         assert out.model[1] is False and out.model[2] is True
-        session.add_clause([-2])
+        add_clauses(session, [-2])
         out = session.solve()
         assert out.status == "unsat" and out.is_unsat
     finally:
@@ -72,7 +71,7 @@ def test_native_sat_unsat_and_model():
 def test_native_assumptions_do_not_stick():
     session = NativeSession()
     try:
-        session.add_clause([1, 2])
+        add_clauses(session, [1, 2])
         assert session.solve(assumptions=[-1, -2]).status == "unsat"
         assert session.solve().status == "sat"
     finally:
@@ -92,12 +91,12 @@ def test_native_signature_names_the_built_in_solver():
 @BACKENDS
 def test_add_cnf_bulk_matches_per_clause(fig1_sample, backend):
     cnf, _ = build_encoding(fig1_sample, 3, O_ALL)
-    bulk = make_session(SolverConfig(backend=backend))
-    single = make_session(SolverConfig(backend=backend))
+    bulk = make_session(backend)
+    single = make_session(backend)
     try:
         bulk.add_cnf(cnf)
         for clause in cnf.clauses():
-            single.add_clause(clause)
+            add_clauses(single, clause)
         assert bulk.num_clauses == single.num_clauses == cnf.num_clauses
         assert bulk.solve().status == single.solve().status == "unsat"
     finally:
@@ -133,9 +132,9 @@ def test_negative_conflict_budget_is_refused():
 def test_nan_timeout_is_refused(backend):
     # NaN is neither a limit nor spent: the ABI would read it as no limit,
     # and subprocess.run fails on it only once the solver has started
-    session = make_session(SolverConfig(backend=backend))
+    session = make_session(backend)
     try:
-        session.add_clause([1])
+        add_clauses(session, [1])
         with pytest.raises(ValueError, match="timeout is NaN"):
             session.solve(timeout=float("nan"))
         assert session.solve(timeout=5.0).status == "sat"
@@ -147,9 +146,9 @@ def test_nan_timeout_is_refused(backend):
 def test_a_timeout_too_long_to_wait_is_no_limit(backend):
     # 3e6 s is past what subprocess can wait, 1e19 s past the native
     # solver's clock; each, and inf, solves as no timeout does
-    session = make_session(SolverConfig(backend=backend))
+    session = make_session(backend)
     try:
-        session.add_clause([1, 2])
+        add_clauses(session, [1, 2])
         for expected in ("sat", "unsat"):
             for timeout in (None, 3e6, 1e19, float("inf")):
                 assert session.solve(timeout=timeout).status == expected
@@ -161,7 +160,7 @@ def test_a_timeout_too_long_to_wait_is_no_limit(backend):
 def test_dimacs_backend_refuses_conflict_budgets():
     # the subprocess cannot be told a budget, so one given is not ignored
     session = DimacsSession(DIMACS_SOLVER)
-    session.add_clause([1])
+    add_clauses(session, [1])
     for budget in (0, 1000):
         with pytest.raises(SolverError, match="no conflict budget"):
             session.solve(conflict_budget=budget)
@@ -230,7 +229,7 @@ def test_native_agrees_with_brute_force(clauses, assumptions):
     session = NativeSession()
     try:
         for clause in clauses[:half]:
-            session.add_clause(clause)
+            add_clauses(session, clause)
         rest = Cnf()
         rest.declare_vars(6)
         for clause in clauses[half:]:
@@ -257,7 +256,7 @@ def test_add_cnf_counts_undeclared_variables(backend):
     cnf = Cnf()
     cnf.add("t", [1, 2])
     cnf.add("t", [-1, 3])
-    session = make_session(SolverConfig(backend=backend))
+    session = make_session(backend)
     try:
         session.add_cnf(cnf)
         assert session.num_vars == 3
@@ -271,15 +270,11 @@ def test_add_cnf_counts_undeclared_variables(backend):
 
 @BACKENDS
 def test_literal_zero_and_empty_clauses_are_refused(backend):
-    # 0 ends a clause in DIMACS and the solver ABI: inside a clause or an
-    # assumption list it would split, drop or empty what was asked
-    session = make_session(SolverConfig(backend=backend))
+    # 0 ends a clause in DIMACS and the solver ABI: inside an assumption
+    # list it would split, drop or empty what was asked
+    session = make_session(backend)
     try:
-        for bad in ([1, 0, 2], [], [0]):
-            with pytest.raises(SolverError, match="bad clause"):
-                session.add_clause(bad)
-        assert session.num_clauses == 0
-        session.add_clause([1, 2])
+        add_clauses(session, [1, 2])
         with pytest.raises(SolverError, match="literal 0"):
             session.solve(assumptions=[0])
         with pytest.raises(SolverError, match="literal 0"):
@@ -293,7 +288,7 @@ def test_literal_zero_and_empty_clauses_are_refused(backend):
 def test_declare_vars_reserves_ids():
     session = NativeSession()
     try:
-        session.add_clause([1])
+        add_clauses(session, [1])
         session.declare_vars(5)
         assert session.num_vars == 5
         assert len(session.solve().model) == 6
@@ -310,11 +305,12 @@ def test_the_shim_and_python_agree_on_the_abi():
         shim))
     bound = set(re.findall(r"\blib\.(satbridge_\w+)",
                            inspect.getsource(solver._load_library)))
-    assert len(abi) == 8 and abi == bound
+    assert len(abi) == 7 and abi == bound
     lib = solver._load_library()
     assert all(hasattr(lib, name) for name in bound)
     for removed in ("satbridge_add_clause", "satbridge_value",
-                    "satbridge_num_clauses", "satbridge_max_variable"):
+                    "satbridge_num_clauses", "satbridge_max_variable",
+                    "satbridge_string_free"):
         assert not hasattr(lib, removed)
 
 
@@ -448,8 +444,7 @@ def test_parse_dimacs_round_trip(fig1_sample):
     assert len(clauses) == cnf.num_clauses
     session = NativeSession()
     try:
-        for clause in clauses:
-            session.add_clause(clause)
+        add_clauses(session, *clauses)
         assert session.solve().status == "sat"
     finally:
         session.close()
@@ -680,8 +675,7 @@ def test_dimacs_solve_times_the_solver_alone(monkeypatch):
 
     monkeypatch.setattr(solver.DimacsText, "_pieces", slow)
     session = DimacsSession(DIMACS_SOLVER)
-    session.add_clause([1, 2])
-    session.add_clause([-1])
+    add_clauses(session, [1, 2], [-1])
     start = time.perf_counter()
     out = session.solve()
     assert time.perf_counter() - start >= 1.0  # the pieces were written
@@ -729,20 +723,23 @@ def test_subprocess_backend_on_encodings(fig1_sample):
 
 
 def test_make_session_backends():
-    assert isinstance(make_session(SolverConfig(backend="native")),
-                      NativeSession)
-    assert isinstance(
-        make_session(SolverConfig(backend=f"dimacs:{DIMACS_SOLVER}")),
-        DimacsSession)
-    with pytest.raises(SolverError):
-        make_session(SolverConfig(backend="minisat"))
-    with pytest.raises(SolverError):
-        make_session(SolverConfig(backend="dimacs:"))
+    # make_session reads the backend string with check_backend, which
+    # loads and runs nothing
+    assert isinstance(make_session("native"), NativeSession)
+    assert isinstance(make_session(f"dimacs:{DIMACS_SOLVER}"), DimacsSession)
+    assert check_backend("native") is None
+    assert check_backend("dimacs:no-such-binary -q") == "no-such-binary -q"
+    for backend, message in (("minisat", "unknown backend 'minisat'"),
+                             ("dimacs:", "empty DIMACS backend command"),
+                             ("dimacs:  ", "empty DIMACS backend command")):
+        for call in (check_backend, make_session):
+            with pytest.raises(SolverError, match=message):
+                call(backend)
 
 
 def test_missing_subprocess_command_raises():
     session = DimacsSession("definitely-not-a-real-solver-binary")
-    session.add_clause([1])
+    add_clauses(session, [1])
     with pytest.raises(SolverError):
         session.solve()
 
@@ -752,7 +749,7 @@ def _scripted_session(tmp_path, name: str, source: str) -> DimacsSession:
     script = tmp_path / f"{name}.py"
     script.write_text(source, encoding="utf-8")
     session = DimacsSession(f"{sys.executable} {script}")
-    session.add_clause([1])
+    add_clauses(session, [1])
     return session
 
 
