@@ -95,15 +95,22 @@ class Forall(Concept):
 
 OperatorSet = frozenset  # subset of {"neg", "and", "or", "exists", "forall"}
 
-O_ALL: OperatorSet = frozenset({"neg", "and", "or", "exists", "forall"})
+# each operator's OperatorSet name and constructor, in canonical order
+_OPERATORS: dict[str, type[Concept]] = {
+    "neg": Not, "and": And, "or": Or, "exists": Exists, "forall": Forall}
+_OPERATOR_OF = {ctor: op for op, ctor in _OPERATORS.items()}
 
-_DUAL = {"neg": "neg", "and": "or", "or": "and", "exists": "forall",
-         "forall": "exists"}
+# the duality on constructors: top/bot, and/or, exists/forall swap; not stays
+_DUAL_OF: dict[type[Concept], type[Concept]] = {
+    Top: Bot, Bot: Top, Not: Not, And: Or, Or: And,
+    Exists: Forall, Forall: Exists}
+
+O_ALL: OperatorSet = frozenset(_OPERATORS)
 
 
 def dual_operators(ops: OperatorSet) -> OperatorSet:
     """Swap and/or and exists/forall; neg is self-dual."""
-    return frozenset(_DUAL[o] for o in ops)
+    return frozenset(_OPERATOR_OF[_DUAL_OF[_OPERATORS[o]]] for o in ops)
 
 
 def parse_operators(text: str) -> OperatorSet:
@@ -112,7 +119,10 @@ def parse_operators(text: str) -> OperatorSet:
         return frozenset()
     if text.strip() == "all":
         return O_ALL
-    ops = frozenset(part.strip() for part in text.split(","))
+    parts = [part.strip() for part in text.split(",")]
+    if "" in parts:
+        raise ConceptError(f"empty operator in {text!r}")
+    ops = frozenset(parts)
     bad = ops - O_ALL
     if bad:
         raise ConceptError(f"unknown operators: {', '.join(sorted(bad))}")
@@ -120,8 +130,7 @@ def parse_operators(text: str) -> OperatorSet:
 
 
 def format_operators(ops: OperatorSet) -> str:
-    order = ["neg", "and", "or", "exists", "forall"]
-    return ",".join(o for o in order if o in ops)
+    return ",".join(o for o in _OPERATORS if o in ops)
 
 
 @dataclass(frozen=True)
@@ -301,99 +310,55 @@ def _render(c: Concept) -> tuple[str, bool]:
 # ---------------------------------------------------------------------------
 # structural measures
 
-def size(c: Concept) -> int:
-    """Node count of the syntax tree; a quantifier+role pair is one node."""
+def _children(c: Concept) -> tuple[Concept, ...]:
+    """The direct subconcepts of c, left to right."""
+    if isinstance(c, (And, Or)):
+        return c.left, c.right
+    if isinstance(c, (Not, Exists, Forall)):
+        return (c.child,)
+    return ()
+
+
+def _nodes(c: Concept) -> Iterator[Concept]:
+    """Every node of c's syntax tree, depth first, without recursion."""
     stack = [c]
-    n = 0
     while stack:
         node = stack.pop()
-        n += 1
-        if isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (Exists, Forall)):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return n
+        yield node
+        stack.extend(_children(node))
+
+
+def size(c: Concept) -> int:
+    """Node count of the syntax tree; a quantifier+role pair is one node."""
+    return sum(1 for _ in _nodes(c))
 
 
 def quantifier_depth(c: Concept) -> int:
-    if isinstance(c, (Exists, Forall)):
-        return 1 + quantifier_depth(c.child)
-    if isinstance(c, Not):
-        return quantifier_depth(c.child)
-    if isinstance(c, (And, Or)):
-        return max(quantifier_depth(c.left), quantifier_depth(c.right))
-    return 0
+    below = max(map(quantifier_depth, _children(c)), default=0)
+    return below + isinstance(c, (Exists, Forall))
 
 
 def signature_of(c: Concept) -> Signature:
-    names: set[str] = set()
-    roles: set[str] = set()
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Name):
-            names.add(node.name)
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (Exists, Forall)):
-            roles.add(node.role)
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return Signature(frozenset(names), frozenset(roles))
+    nodes = list(_nodes(c))
+    return Signature(
+        frozenset(n.name for n in nodes if isinstance(n, Name)),
+        frozenset(n.role for n in nodes if isinstance(n, (Exists, Forall))))
 
 
 def in_fragment(c: Concept, ops: OperatorSet) -> bool:
     """True iff every constructor in c is allowed; atoms always are."""
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Not):
-            if "neg" not in ops:
-                return False
-            stack.append(node.child)
-        elif isinstance(node, And):
-            if "and" not in ops:
-                return False
-            stack.extend((node.left, node.right))
-        elif isinstance(node, Or):
-            if "or" not in ops:
-                return False
-            stack.extend((node.left, node.right))
-        elif isinstance(node, Exists):
-            if "exists" not in ops:
-                return False
-            stack.append(node.child)
-        elif isinstance(node, Forall):
-            if "forall" not in ops:
-                return False
-            stack.append(node.child)
-    return True
+    banned = {ctor for op, ctor in _OPERATORS.items() if op not in ops}
+    return not any(type(n) in banned for n in _nodes(c))
 
 
 def dualize_concept(c: Concept) -> Concept:
     """Swap top/bot, and/or, exists/forall; names and not stay. Involution."""
-    if isinstance(c, Top):
-        return Bot()
-    if isinstance(c, Bot):
-        return Top()
     if isinstance(c, Name):
         return c
-    if isinstance(c, Not):
-        return Not(dualize_concept(c.child))
-    if isinstance(c, And):
-        return Or(dualize_concept(c.left), dualize_concept(c.right))
-    if isinstance(c, Or):
-        return And(dualize_concept(c.left), dualize_concept(c.right))
-    if isinstance(c, Exists):
-        return Forall(c.role, dualize_concept(c.child))
-    if isinstance(c, Forall):
-        return Exists(c.role, dualize_concept(c.child))
-    raise TypeError(f"not a concept: {c!r}")
+    if type(c) not in _DUAL_OF:
+        raise TypeError(f"not a concept: {c!r}")
+    role = (c.role,) if isinstance(c, (Exists, Forall)) else ()
+    return _DUAL_OF[type(c)](*role, *map(dualize_concept, _children(c)))
 
 
 # ---------------------------------------------------------------------------

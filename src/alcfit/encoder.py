@@ -90,8 +90,8 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
 from operator import add, itemgetter, mul, neg
 
-from .concepts import (And, Bot, Concept, Exists, Forall, Name, Not, Or,
-                       O_ALL, OperatorSet, Signature, Top)
+from .concepts import (_OPERATORS, Bot, Concept, Name, O_ALL, OperatorSet,
+                       Signature, Top)
 from .data import Interpretation, Quotient, Sample, TypeTable
 
 __all__ = [
@@ -106,6 +106,10 @@ Label = tuple  # ("top",) ("bot",) ("name", A) ("not",) ("and",) ("or",)
 
 _ARITY = {"top": 0, "bot": 0, "name": 0, "not": 1, "exists": 1, "forall": 1,
           "and": 2, "or": 2}
+# a label's kind is its constructor's name in lower case; the constructor
+# takes the label's name or role first, then the children
+_CONSTRUCTOR = {ctor.__name__.lower(): ctor
+                for ctor in (Top, Bot, Name, *_OPERATORS.values())}
 
 
 class EncodingError(RuntimeError):
@@ -197,6 +201,8 @@ class Cnf:
     def add(self, tag: str, lits) -> None:
         if not lits:
             raise EncodingError("empty clause")
+        if 0 in lits:  # a 0 would end the clause early in the run
+            raise EncodingError(f"literal 0 in clause {list(lits)}")
         self._run.extend(lits)
         self._run.append(0)
         self.num_clauses += 1
@@ -861,28 +867,21 @@ def decode_model(model, vm: VarMap) -> Concept:
             raise EncodingError(f"node {i} reached twice")
         seen.add(i)
         lab = node_label[i - 1]
-        kind = lab[0]
-        if kind == "top":
-            return Top()
-        if kind == "bot":
-            return Bot()
-        if kind == "name":
-            return Name(lab[1])
-        if kind in ("not", "exists", "forall"):
+        arity = _ARITY[lab[0]]
+        if arity == 0:
+            children = ()
+        elif arity == 1:
             kids = [j for j in range(i + 1, k + 1) if model[vm.y1(i, j)]]
             if len(kids) != 1:
                 raise EncodingError(f"unary node {i} has {len(kids)} children")
-            child = build(kids[0])
-            if kind == "not":
-                return Not(child)
-            ctor = Exists if kind == "exists" else Forall
-            return ctor(lab[1], child)
-        kids = [j for j in range(i + 1, k) if model[vm.y2(i, j)]]
-        if len(kids) != 1:
-            raise EncodingError(f"binary node {i} has {len(kids)} child pairs")
-        j = kids[0]
-        left, right = build(j), build(j + 1)
-        return And(left, right) if kind == "and" else Or(left, right)
+            children = (build(kids[0]),)
+        else:
+            kids = [j for j in range(i + 1, k) if model[vm.y2(i, j)]]
+            if len(kids) != 1:
+                raise EncodingError(
+                    f"binary node {i} has {len(kids)} child pairs")
+            children = (build(kids[0]), build(kids[0] + 1))
+        return _CONSTRUCTOR[lab[0]](*lab[1:], *children)
 
     concept = build(1)
     if len(seen) != k:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import importlib.util
 import json
@@ -326,6 +327,44 @@ def test_modules_import_without_warnings(tmp_path):
     # compiled, not read from a cache
     for stem in ("data", "build_native", "dimacs_solve"):
         assert any(tmp_path.rglob(f"{stem}*.pyc")), stem
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads, from its syntax tree;
+    a name read only in a string annotation counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            annotation = (node.returns if isinstance(node, ast.FunctionDef)
+                          else node.annotation)
+            if annotation is None:
+                continue
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    read |= {n.id for n in ast.walk(ast.parse(sub.value))
+                             if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line}: {name}"
+            for name, line in sorted(imported.items()) if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports only to re-export
+    root = SCRIPTS.parent
+    paths = [*sorted((root / "src" / "alcfit").glob("*.py")),
+             *sorted(SCRIPTS.glob("*.py")),
+             *sorted((root / "tests").glob("*.py"))]
+    assert len(paths) > 15
+    unused = [entry for path in paths if path.name != "__init__.py"
+              for entry in _unused_imports(path)]
+    assert unused == []
 
 
 def test_data_errors(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,7 +91,34 @@ def test_size_counts_syntax_tree_nodes(c):
         if isinstance(node, (Exists, Forall)):
             return 1 + count(node.child)  # quantifier and role fuse
         return 1
+
+    def depth(node):
+        if isinstance(node, (Exists, Forall)):
+            return 1 + depth(node.child)
+        if isinstance(node, Not):
+            return depth(node.child)
+        if isinstance(node, (And, Or)):
+            return max(depth(node.left), depth(node.right))
+        return 0
+
+    def names_and_roles(node):
+        if isinstance(node, Name):
+            return {node.name}, set()
+        if isinstance(node, (Exists, Forall)):
+            names, roles = names_and_roles(node.child)
+            return names, roles | {node.role}
+        if isinstance(node, Not):
+            return names_and_roles(node.child)
+        if isinstance(node, (And, Or)):
+            (ln, lr), (rn, rr) = (names_and_roles(node.left),
+                                  names_and_roles(node.right))
+            return ln | rn, lr | rr
+        return set(), set()
+
     assert size(c) == count(c)
+    assert quantifier_depth(c) == depth(c)
+    names, roles = names_and_roles(c)
+    assert signature_of(c) == Signature(frozenset(names), frozenset(roles))
 
 
 # -- fragments and operator sets
@@ -99,6 +128,11 @@ def test_parse_operators():
     assert parse_operators("exists,and") == frozenset({"exists", "and"})
     with pytest.raises(ConceptError):
         parse_operators("neg,xor")
+    # an empty entry is named, not reported as an unknown operator ""
+    for text in ("neg,", "neg,,and", ",", " neg , "):
+        with pytest.raises(ConceptError,
+                           match=f"empty operator in {re.escape(repr(text))}"):
+            parse_operators(text)
 
 
 def test_format_operators_stable_order():
@@ -126,6 +160,9 @@ def test_in_fragment_matches_operator_walk(c):
 def test_dualize_is_an_involution(c):
     assert dualize_concept(dualize_concept(c)) == c
     assert size(dualize_concept(c)) == size(c)
+    # the duality on trees and the duality on operator sets agree
+    assert (_operators_of(dualize_concept(c))
+            == dual_operators(_operators_of(c)))
 
 
 def test_dualize_example():

@@ -17,7 +17,7 @@ from alcfit.concepts import Signature
 from alcfit.data import (DataError, Interpretation, Sample,
                          compute_types, dualize_interpretation,
                          dualize_sample, interpretation_signature, load_facts,
-                         load_sample, merge_blocks, quotient, save_facts,
+                         load_sample, quotient, save_facts,
                          save_sample)
 
 from helpers import FIG1_I, contradictory, fig1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import alcfit.fitter
 from alcfit.benchgen import gen_hitting_set_instance, gen_random
 from alcfit.concepts import (O_ALL, Name, Top, in_fragment,
-                             parse_concept, size)
+                             parse_concept)
 from alcfit.data import (Interpretation, Sample, load_facts, merge_blocks,
                          quotient)
 from alcfit.fitter import (APPROXIMATE, FITTED, K_HORIZON,

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import pytest
-
 from alcfit.concepts import (O_ALL, Signature, Top, in_fragment,
                              render_concept, size)
 from alcfit.fitter import verify

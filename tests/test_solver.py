@@ -384,6 +384,21 @@ def test_export_dimacs_minimal_example():
     assert exported(cnf) == b"p cnf 2 1\n1 -2 0\n"
 
 
+def test_cnf_add_refuses_a_literal_zero():
+    # a 0 inside a clause would end it early in the run: two clauses, but
+    # one counted, under a DIMACS header that undercounts them
+    cnf = Cnf()
+    cnf.add("t", [1, -2])
+    with pytest.raises(EncodingError, match=r"literal 0 in clause \[1, 0, -1\]"):
+        cnf.add("u", [1, 0, -1])
+    with pytest.raises(EncodingError, match="empty clause"):
+        cnf.add("u", [])
+    assert cnf.num_clauses == 1
+    assert cnf.groups == {"t": 1}
+    assert [list(part) for part in cnf.parts] == [[1, -2, 0]]
+    assert exported(cnf) == b"p cnf 2 1\n1 -2 0\n"
+
+
 def test_export_dimacs_counts_undeclared_variables():
     # literal 5 and -5 lie beyond the declared 2 variables; -5 must not be
     # looked up as a negative index from the end of a literal table
