@@ -56,11 +56,12 @@ def _ops_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_encoding_flags(p: argparse.ArgumentParser) -> None:
+def _add_encoding_flags(p: argparse.ArgumentParser, max_size_help: str,
+                        ) -> None:
     p.add_argument("--ops", type=_ops_arg, default=O_ALL,
                    help="comma list of neg,and,or,exists,forall (default all)")
     p.add_argument("--max-size", type=int, default=12, metavar="K",
-                   help="largest concept size to try (default 12)")
+                   help=max_size_help)
     p.add_argument("--no-typed", action="store_true",
                    help="disable the type-table semantic encoding")
     p.add_argument("--no-templates", action="store_true",
@@ -94,7 +95,7 @@ def build_parser() -> _Parser:
 
     fit = sub.add_parser("fit", help="search for a minimum fitting concept")
     fit.add_argument("manifest")
-    _add_encoding_flags(fit)
+    _add_encoding_flags(fit, "largest concept size to try (default 12)")
     _add_solve_flags(fit)
     run = fit.add_mutually_exclusive_group()
     run.add_argument("--report", metavar="PATH",
@@ -104,7 +105,7 @@ def build_parser() -> _Parser:
 
     enc = sub.add_parser("encode", help="export one size-k encoding as DIMACS")
     enc.add_argument("manifest")
-    _add_encoding_flags(enc)
+    _add_encoding_flags(enc, "the concept size to encode (default 12)")
     out = enc.add_mutually_exclusive_group()
     out.add_argument("--emit-dimacs", metavar="PATH", default=None,
                      help="output file (default: stdout)")

@@ -15,6 +15,7 @@ emits minimal parentheses; parse(render(c)) == c for every tree.
 
 Size is the number of syntax-tree nodes, with a quantifier and its role
 fused into a single node: size of "forall r.(A or B)" is 4.
+Concept text nested deeper than _MAX_DEPTH levels is refused.
 """
 
 from __future__ import annotations
@@ -99,6 +100,11 @@ OperatorSet = frozenset  # subset of {"neg", "and", "or", "exists", "forall"}
 _OPERATORS: dict[str, type[Concept]] = {
     "neg": Not, "and": And, "or": Or, "exists": Exists, "forall": Forall}
 _OPERATOR_OF = {ctor: op for op, ctor in _OPERATORS.items()}
+# each constructor's arity, its number of children; the constructors in
+# _TAKES_ROLE take a role before their child
+_ARITY: dict[type[Concept], int] = {
+    Top: 0, Bot: 0, Name: 0, Not: 1, And: 2, Or: 2, Exists: 1, Forall: 1}
+_TAKES_ROLE = frozenset({Exists, Forall})
 
 # the duality on constructors: top/bot, and/or, exists/forall swap; not stays
 _DUAL_OF: dict[type[Concept], type[Concept]] = {
@@ -146,15 +152,16 @@ class Signature:
             raise ConceptError(
                 f"names used both as concept and role: {', '.join(sorted(overlap))}")
 
-    def __or__(self, other: "Signature") -> "Signature":
-        return Signature(self.concept_names | other.concept_names,
-                         self.role_names | other.role_names)
-
 
 # ---------------------------------------------------------------------------
 # parsing
 
 _KEYWORDS = frozenset({"top", "bot", "not", "and", "or", "exists", "forall"})
+
+# the deepest nesting parse_concept accepts, counted in levels of the syntax
+# tree and in open parentheses; the parser takes up to three stack frames a
+# level and the recursive walks below one or two, well within Python's 1000
+_MAX_DEPTH = 256
 
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([().])|(\S))")
 
@@ -196,37 +203,42 @@ class _Parser:
         if tok[0] != "punct" or tok[1] != value:
             raise ConceptError(f"expected {value!r} at position {tok[2]}, got {tok[1]!r}")
 
-    def parse_or(self) -> Concept:
-        node = self.parse_and()
+    # depth counts the nots, quantifiers and parentheses open around a unary
+    def parse_or(self, depth: int) -> Concept:
+        node = self.parse_and(depth)
         while True:
             tok = self.peek()
             if tok is not None and tok[:2] == ("word", "or"):
                 self.take()
-                node = Or(node, self.parse_and())
+                node = Or(node, self.parse_and(depth))
             else:
                 return node
 
-    def parse_and(self) -> Concept:
-        node = self.parse_unary()
+    def parse_and(self, depth: int) -> Concept:
+        node = self.parse_unary(depth)
         while True:
             tok = self.peek()
             if tok is not None and tok[:2] == ("word", "and"):
                 self.take()
-                node = And(node, self.parse_unary())
+                node = And(node, self.parse_unary(depth))
             else:
                 return node
 
-    def parse_unary(self) -> Concept:
+    def parse_unary(self, depth: int) -> Concept:
         tok = self.take()
         kind, value, pos = tok
+        if depth >= _MAX_DEPTH:
+            raise ConceptError(
+                f"concept nested deeper than {_MAX_DEPTH} levels "
+                f"at position {pos}")
         if kind == "punct":
             if value == "(":
-                inner = self.parse_or()
+                inner = self.parse_or(depth + 1)
                 self.expect_punct(")")
                 return inner
             raise ConceptError(f"unexpected {value!r} at position {pos}")
         if value == "not":
-            return Not(self.parse_unary())
+            return Not(self.parse_unary(depth + 1))
         if value in ("exists", "forall"):
             role_tok = self.take()
             if role_tok[0] != "word" or role_tok[1] in _KEYWORDS:
@@ -236,7 +248,7 @@ class _Parser:
                 raise ConceptError(
                     f"role names start lowercase: {role!r} at position {role_tok[2]}")
             self.expect_punct(".")
-            body = self.parse_or()
+            body = self.parse_or(depth + 1)
             return Exists(role, body) if value == "exists" else Forall(role, body)
         if value == "top":
             return Top()
@@ -253,11 +265,14 @@ class _Parser:
 def parse_concept(text: str) -> Concept:
     """Parse concept text in the module grammar into a syntax tree."""
     parser = _Parser(text)
-    node = parser.parse_or()
+    node = parser.parse_or(0)
     leftover = parser.peek()
     if leftover is not None:
         raise ConceptError(
             f"trailing input {leftover[1]!r} at position {leftover[2]}")
+    # a chain of and/or nests the tree without nesting the parser
+    if _height(node) > _MAX_DEPTH:
+        raise ConceptError(f"concept nested deeper than {_MAX_DEPTH} levels")
     return node
 
 
@@ -312,9 +327,10 @@ def _render(c: Concept) -> tuple[str, bool]:
 
 def _children(c: Concept) -> tuple[Concept, ...]:
     """The direct subconcepts of c, left to right."""
-    if isinstance(c, (And, Or)):
+    arity = _ARITY.get(type(c), 0)
+    if arity == 2:
         return c.left, c.right
-    if isinstance(c, (Not, Exists, Forall)):
+    if arity == 1:
         return (c.child,)
     return ()
 
@@ -328,6 +344,17 @@ def _nodes(c: Concept) -> Iterator[Concept]:
         stack.extend(_children(node))
 
 
+def _height(c: Concept) -> int:
+    """Levels of c's syntax tree, without recursion."""
+    height = 0
+    stack = [(c, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        stack.extend((child, level + 1) for child in _children(node))
+    return height
+
+
 def size(c: Concept) -> int:
     """Node count of the syntax tree; a quantifier+role pair is one node."""
     return sum(1 for _ in _nodes(c))
@@ -335,14 +362,14 @@ def size(c: Concept) -> int:
 
 def quantifier_depth(c: Concept) -> int:
     below = max(map(quantifier_depth, _children(c)), default=0)
-    return below + isinstance(c, (Exists, Forall))
+    return below + (type(c) in _TAKES_ROLE)
 
 
 def signature_of(c: Concept) -> Signature:
     nodes = list(_nodes(c))
     return Signature(
         frozenset(n.name for n in nodes if isinstance(n, Name)),
-        frozenset(n.role for n in nodes if isinstance(n, (Exists, Forall))))
+        frozenset(n.role for n in nodes if type(n) in _TAKES_ROLE))
 
 
 def in_fragment(c: Concept, ops: OperatorSet) -> bool:
@@ -357,7 +384,7 @@ def dualize_concept(c: Concept) -> Concept:
         return c
     if type(c) not in _DUAL_OF:
         raise TypeError(f"not a concept: {c!r}")
-    role = (c.role,) if isinstance(c, (Exists, Forall)) else ()
+    role = (c.role,) if type(c) in _TAKES_ROLE else ()
     return _DUAL_OF[type(c)](*role, *map(dualize_concept, _children(c)))
 
 

@@ -36,8 +36,13 @@ the class's first element; the variable map resolves each example to its
 class (VarMap.z), and examples that share a class keep one literal each.
 
 The label alphabet is {top, bot} + concept names + the operator labels
-permitted by the operator set (quantifier and role fused into one label,
-matching the size measure).  Its names are those of the signature given to
+permitted by the operator set, in the order of the operator table
+concepts._OPERATORS.  A label's kind is its constructor's name in lower
+case, with one label per role for an operator that takes one (quantifier
+and role fused into one label, matching the size measure).  Its arity is
+its constructor's in concepts._ARITY: encode_syntax gives it a child slot
+of that arity's kind (none, y1 or y2) and no other, and decode_model
+reads it back.  Its names are those of the signature given to
 encode_syntax.  fitter.encode_size gives it fitter.folded_signature: one
 name per distinct extension on the quotient's classes that is neither empty
 nor full (the first such name in sorted order), and every role name.  An
@@ -90,8 +95,8 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
 from operator import add, itemgetter, mul, neg
 
-from .concepts import (_OPERATORS, Bot, Concept, Name, O_ALL, OperatorSet,
-                       Signature, Top)
+from .concepts import (_ARITY, _OPERATORS, _TAKES_ROLE, Concept, O_ALL,
+                       OperatorSet, Signature)
 from .data import Interpretation, Quotient, Sample, TypeTable
 
 __all__ = [
@@ -104,12 +109,9 @@ __all__ = [
 Label = tuple  # ("top",) ("bot",) ("name", A) ("not",) ("and",) ("or",)
                # ("exists", r) ("forall", r)
 
-_ARITY = {"top": 0, "bot": 0, "name": 0, "not": 1, "exists": 1, "forall": 1,
-          "and": 2, "or": 2}
 # a label's kind is its constructor's name in lower case; the constructor
 # takes the label's name or role first, then the children
-_CONSTRUCTOR = {ctor.__name__.lower(): ctor
-                for ctor in (Top, Bot, Name, *_OPERATORS.values())}
+_CONSTRUCTOR = {ctor.__name__.lower(): ctor for ctor in _ARITY}
 
 
 class EncodingError(RuntimeError):
@@ -308,16 +310,12 @@ class VarMap:
         self.sigma = sigma
         labels: list[Label] = [("top",), ("bot",)]
         labels += [("name", a) for a in sorted(sigma.concept_names)]
-        if "neg" in ops:
-            labels.append(("not",))
-        if "and" in ops:
-            labels.append(("and",))
-        if "or" in ops:
-            labels.append(("or",))
-        if "exists" in ops:
-            labels += [("exists", r) for r in sorted(sigma.role_names)]
-        if "forall" in ops:
-            labels += [("forall", r) for r in sorted(sigma.role_names)]
+        roles = sorted(sigma.role_names)
+        for op, ctor in _OPERATORS.items():  # in canonical order
+            if op in ops:
+                kind = ctor.__name__.lower()
+                labels += ([(kind, r) for r in roles] if ctor in _TAKES_ROLE
+                           else [(kind,)])
         self.labels: tuple[Label, ...] = tuple(labels)
         self._label_pos = {lab: p for p, lab in enumerate(labels)}
 
@@ -399,7 +397,7 @@ class VarMap:
         self._row = target.row
         dom = interp.domain
         self._z = [self._alloc(f"z[{i},", dom) for i in range(1, self.k + 1)]
-        if any(lab[0] in ("exists", "forall") for lab in self.labels):
+        if any(_CONSTRUCTOR[lab[0]] in _TAKES_ROLE for lab in self.labels):
             self._c = [self._alloc(f"child[{i},", dom)
                        for i in range(1, self.k)]
         if types is not None:
@@ -488,22 +486,16 @@ def encode_syntax(k: int, ops: OperatorSet, sigma: Signature,
 
         y1_here = [vm._y1[(i, j)] for j in range(i + 1, k + 1)]
         y2_here = [vm._y2[(i, j)] for j in range(i + 1, k)]
+        slots = (None, y1_here, y2_here)  # a label's child slots by arity
         for pos, lab in enumerate(vm.labels):
             xv = xi[pos]
-            arity = _ARITY[lab[0]]
-            if arity == 0:
-                for yv in y1_here:
-                    add(SYN, (-xv, -yv))
-                for yv in y2_here:
-                    add(SYN, (-xv, -yv))
-            elif arity == 1:
-                add(SYN, [-xv] + y1_here)  # unit -xv when no slot remains
-                for yv in y2_here:
-                    add(SYN, (-xv, -yv))
-            else:
-                add(SYN, [-xv] + y2_here)
-                for yv in y1_here:
-                    add(SYN, (-xv, -yv))
+            arity = _ARITY[_CONSTRUCTOR[lab[0]]]
+            if arity:  # a unit -xv when no slot of its kind remains
+                add(SYN, [-xv] + slots[arity])
+            for other in (1, 2):
+                if other != arity:
+                    for yv in slots[other]:
+                        add(SYN, (-xv, -yv))
 
         _at_most_one(cnf, SYN, y1_here + y2_here)
 
@@ -597,7 +589,7 @@ def _non_name_semantics(cnf: Cnf, vm: VarMap,
 
     succ_rows = {}  # role -> successor index tuple per element
     for lab in vm.labels:
-        if lab[0] in ("exists", "forall") and lab[1] not in succ_rows:
+        if _CONSTRUCTOR[lab[0]] in _TAKES_ROLE and lab[1] not in succ_rows:
             role = lab[1]
             succs = interp.successors(role)
             succ_rows[role] = [
@@ -867,7 +859,8 @@ def decode_model(model, vm: VarMap) -> Concept:
             raise EncodingError(f"node {i} reached twice")
         seen.add(i)
         lab = node_label[i - 1]
-        arity = _ARITY[lab[0]]
+        ctor = _CONSTRUCTOR[lab[0]]
+        arity = _ARITY[ctor]
         if arity == 0:
             children = ()
         elif arity == 1:
@@ -881,7 +874,7 @@ def decode_model(model, vm: VarMap) -> Concept:
                 raise EncodingError(
                     f"binary node {i} has {len(kids)} child pairs")
             children = (build(kids[0]), build(kids[0] + 1))
-        return _CONSTRUCTOR[lab[0]](*lab[1:], *children)
+        return ctor(*lab[1:], *children)
 
     concept = build(1)
     if len(seen) != k:

@@ -1,19 +1,23 @@
 """Brute-force ground truth for fitting questions on small instances.
 
-Enumeration composes concepts by size recursively (arity-0 labels at size 1,
-unary operators over size k-1, binary operators over size splits).  Fitting
-and coverage queries never enumerate raw syntax trees: concepts are grouped
-by extension bitmask per exact size, which is sound because every operator's
-semantics depends only on the extensions of its operands.  Intended for
-domains of at most ~8 elements and sizes up to ~7.
+Enumeration composes concepts by size: the atoms at size 1, then each way
+_shapes gives to build a larger node, one walk over the operator table
+concepts._OPERATORS.  Fitting and coverage queries run the same walk over
+extension bitmasks, keeping the first witness per mask and exact size,
+which is sound because every operator's semantics depends only on the
+extensions of its operands; the mask semantics (_MaskSpace) is the
+oracle's own, independent of concepts.evaluate and of the encoder.
+Intended for domains of at most ~8 elements and sizes up to ~7.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import product
+from typing import Callable, Iterator
 
-from .concepts import (And, Bot, Concept, Exists, Forall, Name, Not, Or,
-                       OperatorSet, Signature, Top)
+from .concepts import (_ARITY, _OPERATORS, _TAKES_ROLE, And, Bot, Concept,
+                       Exists, Forall, Name, Not, OperatorSet, Or, Signature,
+                       Top)
 from .data import Sample, interpretation_signature, Interpretation
 
 __all__ = [
@@ -38,34 +42,29 @@ def enumerate_concepts(ops: OperatorSet, sigma: Signature, k: int,
     if k < 1:
         raise ValueError("concept size is at least 1")
     roles = sorted(sigma.role_names)
-    by_size: list[list[Concept]] = [[]]  # 1-indexed
-    for s in range(1, k + 1):
-        level = list(_level(ops, sigma, roles, s, by_size))
-        by_size.append(level)
+    by_size: list[list[Concept]] = [[], _atoms(sigma)]  # 1-indexed
+    for s in range(2, k + 1):
+        by_size.append([
+            ctor(*head, *children)
+            for ctor, head, sizes in _shapes(ops, roles, s)
+            for children in product(*(by_size[t] for t in sizes))])
     yield from by_size[k]
 
 
-def _level(ops, sigma, roles, s, by_size):
-    if s == 1:
-        yield from _atoms(sigma)
-        return
-    if "neg" in ops:
-        for c in by_size[s - 1]:
-            yield Not(c)
-    for kw, ctor in (("and", And), ("or", Or)):
-        if kw not in ops:
+def _shapes(ops: OperatorSet, roles: list[str], s: int) -> Iterator[tuple]:
+    """Each way to build a size-s node (s >= 2) of the fragment, in
+    enumeration order: (constructor, role arguments, child sizes)."""
+    for op, ctor in _OPERATORS.items():
+        if op not in ops:
             continue
-        for s1 in range(1, s - 1):
-            s2 = s - 1 - s1
-            for left in by_size[s1]:
-                for right in by_size[s2]:
-                    yield ctor(left, right)
-    for kw, ctor in (("exists", Exists), ("forall", Forall)):
-        if kw not in ops:
-            continue
-        for r in roles:
-            for c in by_size[s - 1]:
-                yield ctor(r, c)
+        if _ARITY[ctor] == 1:
+            splits = [(s - 1,)]
+        else:
+            splits = [(s1, s - 1 - s1) for s1 in range(1, s - 1)]
+        heads = [(r,) for r in roles] if ctor in _TAKES_ROLE else [()]
+        for head in heads:
+            for sizes in splits:
+                yield ctor, head, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +86,11 @@ class _MaskSpace:
             for x, y in interp.role_ext.get(r, frozenset()):
                 succ[interp.index[x]] |= self.bit[y]
             self.succ[r] = succ
+        # each operator's semantics on masks, with its constructor's
+        # arguments: the role first, then the children's masks
+        self.apply: dict[type[Concept], Callable[..., int]] = {
+            Not: self.full.__xor__, And: int.__and__, Or: int.__or__,
+            Exists: self.exists, Forall: self.forall}
 
     def _mask(self, elems) -> int:
         m = 0
@@ -124,50 +128,35 @@ def _reachable(space: _MaskSpace, ops: OperatorSet, k_max: int,
         level.setdefault(m, Name(a))
     for s in range(2, k_max + 1):
         level = reps[s]
-        if "neg" in ops:
-            for m, c in reps[s - 1].items():
-                level.setdefault(space.full ^ m, Not(c))
-        for kw in ("and", "or"):
-            if kw not in ops:
-                continue
-            for s1 in range(1, s - 1):
-                for m1, c1 in reps[s1].items():
-                    for m2, c2 in reps[s - 1 - s1].items():
-                        if kw == "and":
-                            level.setdefault(m1 & m2, And(c1, c2))
-                        else:
-                            level.setdefault(m1 | m2, Or(c1, c2))
-        for kw in ("exists", "forall"):
-            if kw not in ops:
-                continue
-            for r in roles:
-                for m, c in reps[s - 1].items():
-                    if kw == "exists":
-                        level.setdefault(space.exists(r, m), Exists(r, c))
-                    else:
-                        level.setdefault(space.forall(r, m), Forall(r, c))
+        for ctor, head, sizes in _shapes(ops, roles, s):
+            apply = space.apply[ctor]
+            below = [reps[t] for t in sizes]
+            for masks in product(*below):
+                m = apply(*head, *masks)
+                if m not in level:
+                    level[m] = ctor(*head, *map(dict.__getitem__, below,
+                                                masks))
     return reps
 
 
-def _sample_masks(sample: Sample, space: _MaskSpace) -> tuple[int, int]:
-    pos = 0
-    for e in sample.positives:
-        pos |= space.bit[e]
-    neg = 0
-    for e in sample.negatives:
-        neg |= space.bit[e]
-    return pos, neg
+def _reps_and_examples(sample: Sample, ops: OperatorSet, k_max: int,
+                       sigma: Signature | None,
+                       ) -> tuple[list[dict[int, Concept]], int, int]:
+    """_reachable's witnesses up to k_max over sigma (by default the
+    sample's own signature), with the masks of the positive and the
+    negative examples."""
+    if sigma is None:
+        sigma = interpretation_signature(sample.interp)
+    space = _MaskSpace(sample.interp, sigma)
+    return (_reachable(space, ops, k_max), space._mask(sample.positives),
+            space._mask(sample.negatives))
 
 
 def brute_force_fit(sample: Sample, ops: OperatorSet, k_max: int,
                     sigma: Signature | None = None,
                     ) -> tuple[Concept, int] | None:
     """Smallest size <= k_max admitting a fitting concept, with witness."""
-    if sigma is None:
-        sigma = interpretation_signature(sample.interp)
-    space = _MaskSpace(sample.interp, sigma)
-    pos, neg = _sample_masks(sample, space)
-    reps = _reachable(space, ops, k_max)
+    reps, pos, neg = _reps_and_examples(sample, ops, k_max, sigma)
     for k in range(1, k_max + 1):
         for m, c in reps[k].items():
             if (m & pos) == pos and not (m & neg):
@@ -179,11 +168,7 @@ def exact_fit_profile(sample: Sample, ops: OperatorSet, k_max: int,
                       sigma: Signature | None = None) -> tuple[bool, ...]:
     """For each size k = 1..k_max: does a fitting concept of exactly that
     size exist?  Entry k-1 of the result answers size k."""
-    if sigma is None:
-        sigma = interpretation_signature(sample.interp)
-    space = _MaskSpace(sample.interp, sigma)
-    pos, neg = _sample_masks(sample, space)
-    reps = _reachable(space, ops, k_max)
+    reps, pos, neg = _reps_and_examples(sample, ops, k_max, sigma)
     return tuple(
         any((m & pos) == pos and not (m & neg) for m in reps[k])
         for k in range(1, k_max + 1))
@@ -195,11 +180,7 @@ def max_coverage(sample: Sample, ops: OperatorSet, k: int,
 
     Ties go to the smallest size, then to enumeration order.
     """
-    if sigma is None:
-        sigma = interpretation_signature(sample.interp)
-    space = _MaskSpace(sample.interp, sigma)
-    pos, neg = _sample_masks(sample, space)
-    reps = _reachable(space, ops, k)
+    reps, pos, neg = _reps_and_examples(sample, ops, k, sigma)
     best_cov = -1
     best: Concept | None = None
     for s in range(1, k + 1):

@@ -402,6 +402,19 @@ def test_verify_outputs(fig1_manifest, capsys):
     assert main(["verify", str(fig1_manifest), "forall r.(A or"]) == 65
 
 
+def test_verify_refuses_concepts_nested_too_deeply(fig1_manifest, capsys):
+    for text in ("not " * 3000 + "A", "(" * 400 + "A" + ")" * 400):
+        capsys.readouterr()
+        assert main(["verify", str(fig1_manifest), text]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("alcfit: error: concept nested deeper than")
+        assert err.count("\n") == 1
+    # a 200-deep chain is within the bound
+    assert main(["verify", str(fig1_manifest),
+                 "exists r." * 100 + "not " * 99 + "A"]) == 0
+    assert "fits: " in capsys.readouterr().out
+
+
 def test_dualize_concept(capsys):
     assert main(["dualize", "--concept", "forall r.(A or B)"]) == 0
     assert capsys.readouterr().out.strip() == "exists r.(A and B)"
@@ -545,7 +558,12 @@ def test_encode_output_is_pinned(tmp_path, capsys):
             ([], "e2bb7bd2e7c4957b328d6b3b769bf0ed"
                  "3df1a1fc3cae9a8cc0b42026bcaf593a"),
             (["--no-typed"], "3872dcecde1556b1893a26136f20622e"
-                             "48341e0f5ea9d27087e0695b2a3f59e3")):
+                             "48341e0f5ea9d27087e0695b2a3f59e3"),
+            # fragments: the order of a fragment's operator labels
+            (["--ops", "forall,or,neg"], "ee2091593dbbf42be7607e75a18bd4b1"
+                                         "eeb26e6ab0d40164bd802bd0b26fcce4"),
+            (["--ops", "exists,and"], "cb5befa472a700065de2bdbc2d3792fb"
+                                      "e673b5bbc172b109d3b07e6b084918f1")):
         assert main(["encode", str(manifest), "--max-size", "5",
                      "--emit-dimacs", str(out), *flags]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, flags
@@ -764,3 +782,12 @@ def test_readme_documents_every_option():
                                           docs)):
                     missing.append(f"{command} {option}")
     assert missing == []
+
+
+def test_max_size_help_says_what_each_command_does_with_it(capsys):
+    # fit tries every size up to K; encode encodes exactly size K
+    for command, text in (("fit", "largest concept size to try"),
+                          ("encode", "the concept size to encode")):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert text + " (default 12)" in capsys.readouterr().out, command

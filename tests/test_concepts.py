@@ -175,7 +175,9 @@ def test_dualize_example():
 @given(concept_trees, st.integers(0, 19))
 def test_duality_flips_membership_pointwise(c, pick):
     interp = corpus_samples(20)[pick].interp
-    sigma = signature_of(c) | interpretation_signature(interp)
+    own, data = signature_of(c), interpretation_signature(interp)
+    sigma = Signature(own.concept_names | data.concept_names,
+                      own.role_names | data.role_names)
     dual = dualize_interpretation(interp, sigma)
     ext = evaluate(c, interp)
     dual_ext = evaluate(dualize_concept(c), dual)
